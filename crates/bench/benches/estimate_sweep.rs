@@ -20,9 +20,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use picloud::experiments::estimate_exp::{EstimateExperiment, FABRIC_TIERS_MBPS, LOCALITIES};
-use picloud_bench::{print_once, quick_criterion};
+use picloud_bench::{print_once, quick_criterion, write_bench_json};
 use picloud_network::flowsim::estimate::{EstimateConfig, FlowEstimator};
-use picloud_network::flowsim::partition::default_workers;
 use picloud_network::flowsim::{FlowSimulator, RateAllocator};
 use picloud_network::routing::RoutingPolicy;
 use picloud_network::topology::{LinkRates, Topology};
@@ -74,13 +73,12 @@ fn scenarios() -> Vec<Scenario> {
     out
 }
 
-fn exact_dist(s: &Scenario, workers: usize) -> EDist {
+fn exact_dist(s: &Scenario) -> EDist {
     let mut sim = FlowSimulator::new(
         s.topo.clone(),
         RoutingPolicy::default(),
         RateAllocator::MaxMin,
-    )
-    .with_workers(workers);
+    );
     s.workload
         .replay_on(&mut sim)
         .expect("generated endpoints are hosts of the connected fabric");
@@ -93,13 +91,12 @@ fn exact_dist(s: &Scenario, workers: usize) -> EDist {
     )
 }
 
-fn estimate_dist(s: &Scenario, workers: usize) -> (EDist, usize) {
+fn estimate_dist(s: &Scenario) -> (EDist, usize) {
     let est = FlowEstimator::new(
         s.topo.clone(),
         RoutingPolicy::default(),
         RateAllocator::MaxMin,
     )
-    .with_workers(workers)
     .with_config(EstimateConfig::seeded(SEED));
     let out = est.estimate(s.workload.events());
     (out.fct_dist(), out.cluster_count())
@@ -113,16 +110,13 @@ struct SweepResult {
     clusters_total: usize,
 }
 
-fn run_sweep(scenarios: &[Scenario], workers: usize) -> SweepResult {
+fn run_sweep(scenarios: &[Scenario]) -> SweepResult {
     let start = Instant::now();
-    let exact: Vec<EDist> = scenarios.iter().map(|s| exact_dist(s, workers)).collect();
+    let exact: Vec<EDist> = scenarios.iter().map(exact_dist).collect();
     let exact_ms = start.elapsed().as_secs_f64() * 1e3;
 
     let start = Instant::now();
-    let est: Vec<(EDist, usize)> = scenarios
-        .iter()
-        .map(|s| estimate_dist(s, workers))
-        .collect();
+    let est: Vec<(EDist, usize)> = scenarios.iter().map(estimate_dist).collect();
     let estimate_ms = start.elapsed().as_secs_f64() * 1e3;
 
     let mut max_err = 0.0f64;
@@ -141,12 +135,12 @@ fn run_sweep(scenarios: &[Scenario], workers: usize) -> SweepResult {
     }
 }
 
-fn write_artifact(r: &SweepResult, workers: usize) -> f64 {
+fn write_artifact(r: &SweepResult) -> f64 {
     let speedup = r.exact_ms / r.estimate_ms.max(1e-9);
     let body = format!(
         "{{\n  \"bench\": \"estimate\",\n  \"topology\": \"multi_root_tree(4,14,2)\",\n  \
          \"seed\": {SEED},\n  \"horizon_secs\": {HORIZON_SECS},\n  \
-         \"scenarios\": {},\n  \"flows_total\": {},\n  \"workers\": {workers},\n  \
+         \"scenarios\": {},\n  \"flows_total\": {},\n  \"workers\": 1,\n  \
          \"exact_ms\": {:.1},\n  \"estimate_ms\": {:.1},\n  \"speedup\": {:.1},\n  \
          \"clusters_total\": {},\n  \"max_p99_rel_err\": {:.4},\n  \
          \"error_bound\": {:.2}\n}}\n",
@@ -159,12 +153,7 @@ fn write_artifact(r: &SweepResult, workers: usize) -> f64 {
         r.max_p99_rel_err,
         EstimateExperiment::P99_ERROR_BOUND,
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_estimate.json");
-    match std::fs::write(path, &body) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("cannot write {path}: {e}"),
-    }
-    println!("{body}");
+    write_bench_json("estimate", &body);
     speedup
 }
 
@@ -175,9 +164,8 @@ fn bench(c: &mut Criterion) {
         &BANNER,
     );
     let scenarios = scenarios();
-    let workers = default_workers();
-    let result = run_sweep(&scenarios, workers);
-    let speedup = write_artifact(&result, workers);
+    let result = run_sweep(&scenarios);
+    let speedup = write_artifact(&result);
 
     assert!(
         speedup >= SPEEDUP_FLOOR,
@@ -198,7 +186,7 @@ fn bench(c: &mut Criterion) {
     let hardest = &scenarios[LOCALITIES.len() - 1];
     c.bench_function("estimate/cluster_and_predict_hardest", |b| {
         b.iter(|| {
-            let (d, clusters) = estimate_dist(hardest, workers);
+            let (d, clusters) = estimate_dist(hardest);
             black_box((d.len(), clusters))
         })
     });

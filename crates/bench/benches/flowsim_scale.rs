@@ -16,14 +16,14 @@
 //! *concentration* — the same population confined to 1, 4 or 16 pods.
 //! Spreading flows across partitions shrinks every dirty region, so
 //! per-inject cost must fall well below proportional as the partition
-//! count rises (the in-bench assert). The solver worker-pool size comes
-//! from `--partitions N` (after `--`) or `PICLOUD_FLOW_WORKERS`; worker
-//! count never changes a simulated bit (pinned by
-//! `tests/flowsim_equiv.rs`), only wall-clock time. Both sections land
-//! in `BENCH_flowsim.json`; EXPERIMENTS.md documents the schema.
+//! count rises (the in-bench assert). The solver worker count comes
+//! from `--partitions N` (after `--`, default 1); worker count never
+//! changes a simulated bit (pinned by `tests/flowsim_equiv.rs`), only
+//! wall-clock time. Both sections land in `BENCH_flowsim.json`;
+//! EXPERIMENTS.md documents the schema.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use picloud_bench::{print_once, quick_criterion};
+use picloud_bench::{median, print_once, quick_criterion, time_ns_per_iter, write_bench_json};
 use picloud_network::flow::FlowSpec;
 use picloud_network::flowsim::{FlowSimulator, RateAllocator};
 use picloud_network::routing::RoutingPolicy;
@@ -44,15 +44,9 @@ const SCALES: [usize; 4] = [80, 160, 320, 800];
 /// operation's intrinsic cost (scheduler preemption and cache pollution
 /// only ever add time), which matters because the scaling asserts below
 /// compare two of these figures against a fixed ratio.
-fn time_ns_per_iter(rounds: usize, iters: u32, mut f: impl FnMut()) -> u64 {
-    (0..rounds)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            (start.elapsed().as_nanos() / u128::from(iters)) as u64
-        })
+fn best_ns_per_iter(rounds: usize, iters: u32, f: impl FnMut()) -> u64 {
+    time_ns_per_iter(rounds, iters, f)
+        .into_iter()
         .min()
         .unwrap_or(0)
 }
@@ -100,7 +94,7 @@ fn measure(scale: usize, probes: &[FlowSpec]) -> ScaleRow {
     // Inject: one extra flow into the steady population, then back out.
     let mut sim = base.clone();
     let mut i = 0usize;
-    let inject_ns = time_ns_per_iter(9, 64, || {
+    let inject_ns = best_ns_per_iter(9, 64, || {
         let spec = probes[i % probes.len()].clone();
         i += 1;
         let at = sim.now();
@@ -130,8 +124,7 @@ fn measure(scale: usize, probes: &[FlowSpec]) -> ScaleRow {
                 samples.push((start.elapsed().as_nanos() / u128::from(steps)) as u64);
             }
         }
-        samples.sort_unstable();
-        samples[samples.len() / 2]
+        median(samples)
     };
 
     // Complete: full drain, cost per completed flow.
@@ -144,8 +137,7 @@ fn measure(scale: usize, probes: &[FlowSpec]) -> ScaleRow {
             let done = sim.completed_total().max(1);
             samples.push((start.elapsed().as_nanos() / u128::from(done)) as u64);
         }
-        samples.sort_unstable();
-        samples[samples.len() / 2]
+        median(samples)
     };
 
     ScaleRow {
@@ -166,10 +158,9 @@ struct ConcentrationRow {
     inject_ns: u64,
 }
 
-/// Worker-pool size for the fat-tree section: `--partitions N` after
-/// `--` on the bench command line, else `PICLOUD_FLOW_WORKERS`, else 1.
-/// (The vendored criterion shim ignores CLI arguments, so the flag is
-/// ours to parse.)
+/// Worker count for the fat-tree section: `--partitions N` after `--`
+/// on the bench command line, else 1. (The vendored criterion shim
+/// ignores CLI arguments, so the flag is ours to parse.)
 fn scale_workers() -> usize {
     let args: Vec<String> = std::env::args().collect();
     args.iter()
@@ -177,7 +168,7 @@ fn scale_workers() -> usize {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse::<usize>().ok())
         .map(|n| n.max(1))
-        .unwrap_or_else(picloud_network::flowsim::partition::default_workers)
+        .unwrap_or(1)
 }
 
 /// Number of pods in the scale fabric (`fat_tree(SCALE_K)`).
@@ -247,7 +238,7 @@ fn measure_concentration(
         pods[0][1],
         picloud_simcore::units::Bytes::mib(1),
     );
-    let inject_ns = time_ns_per_iter(3, 4, || {
+    let inject_ns = best_ns_per_iter(3, 4, || {
         let at = sim.now();
         let id = sim.inject(probe.clone(), at).expect("pod-0 probe routes");
         sim.cancel(id);
@@ -318,12 +309,7 @@ fn write_artifact() -> (Vec<ScaleRow>, Vec<ConcentrationRow>) {
         ));
     }
     body.push_str("    ]\n  }\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_flowsim.json");
-    match std::fs::write(path, &body) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("cannot write {path}: {e}"),
-    }
-    println!("{body}");
+    write_bench_json("flowsim", &body);
     (rows, scale_rows)
 }
 

@@ -9,27 +9,21 @@
 //! an accidentally quadratic pass — shows up as a trend, not a surprise.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use picloud_bench::{print_once, quick_criterion};
+use picloud_bench::{median, print_once, quick_criterion, time_ns_per_iter, write_bench_json};
 use picloud_lint::rules::Rule;
 use picloud_lint::Workspace;
 use std::hint::black_box;
 use std::sync::Once;
-use std::time::Instant;
 
 static BANNER: Once = Once::new();
 
 /// Median milliseconds for one full-workspace scan over `rounds` runs.
 fn scan_ms(ws: &Workspace, rounds: usize) -> f64 {
-    let mut samples: Vec<u64> = (0..rounds)
-        .map(|_| {
-            let start = Instant::now();
-            let report = ws.scan().expect("workspace scan succeeds");
-            black_box(report.findings.len());
-            u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2] as f64 / 1000.0
+    let samples = time_ns_per_iter(rounds, 1, || {
+        let report = ws.scan().expect("workspace scan succeeds");
+        black_box(report.findings.len());
+    });
+    median(samples) as f64 / 1e6
 }
 
 fn write_artifact(ws: &Workspace) {
@@ -56,12 +50,7 @@ fn write_artifact(ws: &Workspace) {
         report.allowed,
         ms < 5000.0,
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_lint.json");
-    match std::fs::write(path, &body) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("cannot write {path}: {e}"),
-    }
-    println!("{body}");
+    write_bench_json("lint", &body);
 }
 
 fn bench(c: &mut Criterion) {

@@ -10,76 +10,59 @@
 //! from a live E17 run, and critical-path extraction.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use picloud::experiments::recovery_exp::RecoveryExperiment;
-use picloud_bench::{print_once, quick_criterion};
+use picloud_bench::{
+    e17_live_run, median, print_once, quick_criterion, time_ns_per_iter, write_bench_json,
+};
 use picloud_simcore::telemetry::{TelemetrySink, Tracer};
-use picloud_simcore::{SimDuration, SimTime, SpanForest, SpanId};
+use picloud_simcore::{SimTime, SpanForest, SpanId};
 use std::hint::black_box;
 use std::sync::Once;
-use std::time::Instant;
 
 static BANNER: Once = Once::new();
 
-/// Median nanos per iteration of `f` over `rounds` timed rounds of
-/// `iters` calls each. Coarse, but stable enough for a trend artifact.
-fn time_ns_per_iter(rounds: usize, iters: u32, mut f: impl FnMut()) -> u64 {
-    let mut samples: Vec<u64> = (0..rounds)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            (start.elapsed().as_nanos() / u128::from(iters)) as u64
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
 /// One short E17 churn run with live telemetry (spans included).
 fn live_run() -> TelemetrySink {
-    let sink = TelemetrySink::recording(SimTime::ZERO);
-    RecoveryExperiment::run_with_telemetry(1, SimDuration::from_secs(10 * 60), sink).1
+    e17_live_run(TelemetrySink::recording(SimTime::ZERO))
 }
 
 fn write_artifact() {
-    let disabled_emit = time_ns_per_iter(9, 100_000, || {
+    let disabled_emit = median(time_ns_per_iter(9, 100_000, || {
         let mut t = Tracer::disabled();
         t.emit(SimTime::ZERO, "noop", |e| {
             e.u64("x", 1);
         });
         black_box(&t);
-    });
-    let disabled_span = time_ns_per_iter(9, 100_000, || {
+    }));
+    let disabled_span = median(time_ns_per_iter(9, 100_000, || {
         let mut t = Tracer::disabled();
         let id = t.span_start(SimTime::ZERO, "noop", SpanId::NONE, |e| {
             e.u64("x", 1);
         });
         t.span_end(SimTime::ZERO, id, |_| {});
         black_box(&t);
-    });
-    let enabled_span = time_ns_per_iter(9, 100_000, || {
+    }));
+    let enabled_span = median(time_ns_per_iter(9, 100_000, || {
         let mut t = Tracer::ring(64);
         let id = t.span_start(SimTime::ZERO, "noop", SpanId::NONE, |e| {
             e.u64("x", 1);
         });
         t.span_end(SimTime::ZERO, id, |_| {});
         black_box(&t);
-    });
+    }));
     let sink = live_run();
     let forest = SpanForest::from_tracer(&sink.tracer);
-    let reconstruct = time_ns_per_iter(5, 10, || {
+    let reconstruct = median(time_ns_per_iter(5, 10, || {
         black_box(SpanForest::from_tracer(&sink.tracer));
-    });
+    }));
     let roots: Vec<SpanId> = forest.roots().to_vec();
-    let critical_paths = time_ns_per_iter(5, 10, || {
+    let critical_paths = median(time_ns_per_iter(5, 10, || {
         for &r in &roots {
             black_box(forest.critical_path(r));
         }
-    });
-    let spans_jsonl = time_ns_per_iter(5, 10, || {
+    }));
+    let spans_jsonl = median(time_ns_per_iter(5, 10, || {
         black_box(forest.to_jsonl());
-    });
+    }));
 
     // The zero-alloc contract: the disabled span path (start + end, two
     // guarded no-ops) stays within ~2x one disabled emit. The +50 ns
@@ -101,12 +84,7 @@ fn write_artifact() {
         forest.len(),
         roots.len(),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_spans.json");
-    match std::fs::write(path, &body) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("cannot write {path}: {e}"),
-    }
-    println!("{body}");
+    write_bench_json("spans", &body);
 }
 
 fn bench(c: &mut Criterion) {

@@ -8,70 +8,53 @@
 //! nanos-per-iteration for each so CI can chart the trend.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use picloud::experiments::recovery_exp::RecoveryExperiment;
-use picloud_bench::{print_once, quick_criterion};
+use picloud_bench::{
+    e17_live_run, median, print_once, quick_criterion, time_ns_per_iter, write_bench_json,
+};
 use picloud_simcore::telemetry::{MetricsRegistry, TelemetrySink, Tracer};
-use picloud_simcore::{SimDuration, SimTime};
+use picloud_simcore::SimTime;
 use std::hint::black_box;
 use std::sync::Once;
-use std::time::Instant;
 
 static BANNER: Once = Once::new();
 
-/// Median nanos per iteration of `f` over `rounds` timed rounds of
-/// `iters` calls each. Coarse, but stable enough for a trend artifact.
-fn time_ns_per_iter(rounds: usize, iters: u32, mut f: impl FnMut()) -> u64 {
-    let mut samples: Vec<u64> = (0..rounds)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            (start.elapsed().as_nanos() / u128::from(iters)) as u64
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
 /// One short E17 churn run with live telemetry.
 fn live_run() -> TelemetrySink {
-    let sink = TelemetrySink::recording(SimTime::ZERO);
-    RecoveryExperiment::run_with_telemetry(1, SimDuration::from_secs(10 * 60), sink).1
+    e17_live_run(TelemetrySink::recording(SimTime::ZERO))
 }
 
 fn write_artifact() {
-    let disabled_emit = time_ns_per_iter(9, 100_000, || {
+    let disabled_emit = median(time_ns_per_iter(9, 100_000, || {
         let mut t = Tracer::disabled();
         t.emit(SimTime::ZERO, "noop", |e| {
             e.u64("x", 1);
         });
         black_box(&t);
-    });
-    let enabled_emit = time_ns_per_iter(9, 100_000, || {
+    }));
+    let enabled_emit = median(time_ns_per_iter(9, 100_000, || {
         let mut t = Tracer::ring(64);
         t.emit(SimTime::ZERO, "noop", |e| {
             e.u64("x", 1);
         });
         black_box(&t);
-    });
-    let gauge_set = time_ns_per_iter(9, 10_000, || {
+    }));
+    let gauge_set = median(time_ns_per_iter(9, 10_000, || {
         let mut reg = MetricsRegistry::new(SimTime::ZERO);
         reg.gauge("bench_gauge", &[("node", "7")])
             .set(SimTime::from_secs(1), 1.0);
         black_box(&reg);
-    });
+    }));
     let sink = live_run();
     let snap = sink.registry.snapshot(SimTime::from_secs(600));
-    let export_jsonl = time_ns_per_iter(5, 10, || {
+    let export_jsonl = median(time_ns_per_iter(5, 10, || {
         black_box(snap.to_jsonl());
-    });
-    let export_prometheus = time_ns_per_iter(5, 10, || {
+    }));
+    let export_prometheus = median(time_ns_per_iter(5, 10, || {
         black_box(snap.to_prometheus());
-    });
-    let trace_jsonl = time_ns_per_iter(5, 10, || {
+    }));
+    let trace_jsonl = median(time_ns_per_iter(5, 10, || {
         black_box(sink.tracer.to_jsonl());
-    });
+    }));
     let body = format!(
         "{{\n  \"bench\": \"telemetry\",\n  \"series\": {},\n  \"trace_events\": {},\n  \
          \"ns_per_iter\": {{\n    \"tracer_emit_disabled\": {disabled_emit},\n    \
@@ -81,12 +64,7 @@ fn write_artifact() {
         snap.rows.len(),
         sink.tracer.len(),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_telemetry.json");
-    match std::fs::write(path, &body) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("cannot write {path}: {e}"),
-    }
-    println!("{body}");
+    write_bench_json("telemetry", &body);
 }
 
 fn bench(c: &mut Criterion) {

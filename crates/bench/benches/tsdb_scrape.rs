@@ -9,33 +9,17 @@
 //! as a trend, not asserted once.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use picloud::experiments::recovery_exp::RecoveryExperiment;
-use picloud_bench::{print_once, quick_criterion};
+use picloud_bench::{
+    e17_live_run, median, print_once, quick_criterion, time_ns_per_iter, write_bench_json,
+};
 use picloud_simcore::telemetry::slo::AlertPolicy;
 use picloud_simcore::telemetry::tsdb::{QueryFn, ScrapeConfig, TimeSeriesDb};
 use picloud_simcore::telemetry::{MetricsRegistry, TelemetrySink};
 use picloud_simcore::{SimDuration, SimTime};
 use std::hint::black_box;
 use std::sync::Once;
-use std::time::Instant;
 
 static BANNER: Once = Once::new();
-
-/// Median nanos per iteration of `f` over `rounds` timed rounds of
-/// `iters` calls each.
-fn time_ns_per_iter(rounds: usize, iters: u32, mut f: impl FnMut()) -> u64 {
-    let mut samples: Vec<u64> = (0..rounds)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            (start.elapsed().as_nanos() / u128::from(iters)) as u64
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
 
 /// A registry holding six hundred mixed series (a thousand streams) — the scale of a full E17
 /// run (56 nodes × a handful of per-node series plus the fabric).
@@ -88,17 +72,19 @@ fn synthetic_db(scrapes: u64) -> (MetricsRegistry, TimeSeriesDb) {
 
 /// One short E17 churn run scraped on the default grid.
 fn live_sink() -> TelemetrySink {
-    let sink = TelemetrySink::recording_with_tsdb(SimTime::ZERO, ScrapeConfig::default());
-    RecoveryExperiment::run_with_telemetry(1, SimDuration::from_secs(10 * 60), sink).1
+    e17_live_run(TelemetrySink::recording_with_tsdb(
+        SimTime::ZERO,
+        ScrapeConfig::default(),
+    ))
 }
 
 fn write_artifact() {
     // Scrape cost: fresh store, 60 ticks, reported per scrape of the
     // ~1000-stream registry.
-    let scrape = time_ns_per_iter(9, 3, || {
+    let scrape = median(time_ns_per_iter(9, 3, || {
         let (_, db) = synthetic_db(60);
         black_box(db.samples());
-    }) / 60;
+    })) / 60;
 
     let (reg, db) = synthetic_db(240);
     let key = db
@@ -107,19 +93,19 @@ fn write_artifact() {
         .unwrap_or_else(|| db.all_series().remove(0));
     let at = SimTime::from_secs(239);
     let full = SimDuration::from_secs(240);
-    let query_avg = time_ns_per_iter(9, 1000, || {
+    let query_avg = median(time_ns_per_iter(9, 1000, || {
         black_box(db.eval_at(&key, QueryFn::AvgOverTime, full, at));
-    });
-    let query_quantile = time_ns_per_iter(9, 1000, || {
+    }));
+    let query_quantile = median(time_ns_per_iter(9, 1000, || {
         black_box(db.eval_at(&key, QueryFn::QuantileOverTime(0.99), full, at));
-    });
+    }));
 
     let sink = live_sink();
     let e17 = sink.tsdb().expect("recording sink has a tsdb");
     let policy = AlertPolicy::picloud_default();
-    let alerts = time_ns_per_iter(5, 20, || {
+    let alerts = median(time_ns_per_iter(5, 20, || {
         black_box(policy.evaluate(e17).transitions.len());
-    });
+    }));
 
     let body = format!(
         "{{\n  \"bench\": \"tsdb\",\n  \"series\": {},\n  \"scrapes\": {},\n  \
@@ -135,12 +121,7 @@ fn write_artifact() {
         e17.samples(),
         e17.bytes_per_sample(),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tsdb.json");
-    match std::fs::write(path, &body) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("cannot write {path}: {e}"),
-    }
-    println!("{body}");
+    write_bench_json("tsdb", &body);
 }
 
 fn bench(c: &mut Criterion) {

@@ -259,16 +259,10 @@ impl PiCloud {
         (0..self.node_count() as u32).map(NodeId)
     }
 
-    /// A fresh flow-level simulator over this cloud's fabric.
-    ///
-    /// The simulator picks up the partitioned-solver worker pool from
-    /// `PICLOUD_FLOW_WORKERS` (see
-    /// [`picloud_network::flowsim::partition::default_workers`]); worker
-    /// count is a pure wall-clock knob — results are bit-identical at any
-    /// setting — so every experiment stays a function of its seed alone.
+    /// A fresh flow-level simulator over this cloud's fabric, on the
+    /// serial solve path (see [`FlowSimulator::with_workers`]).
     pub fn flow_simulator(&self, policy: RoutingPolicy, allocator: RateAllocator) -> FlowSimulator {
         FlowSimulator::new(self.topology.clone(), policy, allocator)
-            .with_workers(picloud_network::flowsim::partition::default_workers())
     }
 
     /// Dispatches a management API request (§II-C).

@@ -13,7 +13,6 @@
 use crate::report::TextTable;
 pub use picloud_network::flowsim::estimate::FidelityMode;
 use picloud_network::flowsim::estimate::{EstimateConfig, FlowEstimator};
-use picloud_network::flowsim::partition::default_workers;
 use picloud_network::flowsim::{FlowSimulator, RateAllocator};
 use picloud_network::routing::RoutingPolicy;
 use picloud_network::topology::{LinkRates, Topology};
@@ -112,8 +111,7 @@ impl EstimateExperiment {
             topo.clone(),
             RoutingPolicy::default(),
             RateAllocator::MaxMin,
-        )
-        .with_workers(default_workers());
+        );
         workload
             .replay_on(&mut sim)
             // lint: allow(P1) reason=the generator draws endpoints from this connected builder topology; no route can be missing
@@ -127,7 +125,6 @@ impl EstimateExperiment {
         );
         // Estimation mode over the same workload.
         let est = FlowEstimator::new(topo, RoutingPolicy::default(), RateAllocator::MaxMin)
-            .with_workers(default_workers())
             .with_config(EstimateConfig::seeded(seed));
         let out = est.estimate(workload.events());
         let est_dist = out.fct_dist();
@@ -185,7 +182,6 @@ impl EstimateExperiment {
                 .with_intra_rack_fraction(0.0);
             let workload = pattern.generate(&topo, duration, &seeds);
             let est = FlowEstimator::new(topo, RoutingPolicy::default(), RateAllocator::MaxMin)
-                .with_workers(default_workers())
                 .with_config(EstimateConfig::seeded(seed));
             let out = est.estimate(workload.events());
             out.clusters.iter().map(|c| c.members.len()).collect()
@@ -251,8 +247,7 @@ pub fn sweep(mode: FidelityMode, seed: u64, duration: SimDuration) -> Vec<SweepL
             let line = match mode {
                 FidelityMode::Exact => {
                     let mut sim =
-                        FlowSimulator::new(topo, RoutingPolicy::default(), RateAllocator::MaxMin)
-                            .with_workers(default_workers());
+                        FlowSimulator::new(topo, RoutingPolicy::default(), RateAllocator::MaxMin);
                     workload
                         .replay_on(&mut sim)
                         // lint: allow(P1) reason=the generator draws endpoints from this connected builder topology; no route can be missing
@@ -277,7 +272,6 @@ pub fn sweep(mode: FidelityMode, seed: u64, duration: SimDuration) -> Vec<SweepL
                 FidelityMode::Estimate => {
                     let est =
                         FlowEstimator::new(topo, RoutingPolicy::default(), RateAllocator::MaxMin)
-                            .with_workers(default_workers())
                             .with_config(EstimateConfig::seeded(seed));
                     let out = est.estimate(workload.events());
                     let d = out.fct_dist();

@@ -63,10 +63,7 @@ impl TrafficExperiment {
         };
         let topo = Topology::multi_root_tree_with(4, 14, 2, rates);
         let workload = pattern.generate(&topo, duration, seeds);
-        // Batched replay + the partitioned solver: same bits at any
-        // worker count, so the pool size can come from the environment.
-        let mut sim = FlowSimulator::new(topo, RoutingPolicy::default(), allocator)
-            .with_workers(picloud_network::flowsim::partition::default_workers());
+        let mut sim = FlowSimulator::new(topo, RoutingPolicy::default(), allocator);
         workload
             .replay_on(&mut sim)
             // lint: allow(P1) reason=the generator draws endpoints from this connected builder topology; no route can be missing
@@ -99,8 +96,7 @@ impl TrafficExperiment {
         };
         let topo = Topology::multi_root_tree_with(4, 14, 2, rates);
         let workload = pattern.generate(&topo, duration, seeds);
-        let mut sim = FlowSimulator::new(topo, RoutingPolicy::default(), allocator)
-            .with_workers(picloud_network::flowsim::partition::default_workers());
+        let mut sim = FlowSimulator::new(topo, RoutingPolicy::default(), allocator);
         let interval = sink
             .tsdb()
             .map(|db| db.interval())
@@ -202,12 +198,14 @@ impl TrafficExperiment {
                 TrafficExperiment::replay(&p, duration, &seeds, RateAllocator::MaxMin)
             })
             .collect();
+        // The max-min side of the ablation is the sweep's locality-0
+        // point: a MaxMin replay of the same pattern and seeds.
+        let maxmin_mean_fct = points.last().map_or(0.0, |p| p.mean_fct_secs);
         let hard = base.with_intra_rack_fraction(0.0);
-        let maxmin = TrafficExperiment::replay(&hard, duration, &seeds, RateAllocator::MaxMin);
         let equal = TrafficExperiment::replay(&hard, duration, &seeds, RateAllocator::EqualShare);
         TrafficExperiment {
             points,
-            maxmin_mean_fct: maxmin.mean_fct_secs,
+            maxmin_mean_fct,
             equal_share_mean_fct: equal.mean_fct_secs,
         }
     }
@@ -288,6 +286,21 @@ mod tests {
     #[test]
     fn max_min_beats_equal_share() {
         let e = exp();
+        // The ablation's max-min figure is the locality-0 sweep point,
+        // bit for bit the same as a dedicated max-min replay of it.
+        let hard = TrafficPattern::measured_dc()
+            .with_arrival_rate(10.0)
+            .with_intra_rack_fraction(0.0);
+        let replayed = TrafficExperiment::replay(
+            &hard,
+            SimDuration::from_secs(10),
+            &SeedFactory::new(7),
+            RateAllocator::MaxMin,
+        );
+        let last = e.points.last().unwrap();
+        assert_eq!(last.locality, 0.0);
+        assert_eq!(e.maxmin_mean_fct.to_bits(), last.mean_fct_secs.to_bits());
+        assert_eq!(replayed, *last);
         assert!(
             e.maxmin_mean_fct <= e.equal_share_mean_fct + 1e-9,
             "work conservation helps: {:.4} vs {:.4}",

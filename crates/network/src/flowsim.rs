@@ -44,10 +44,12 @@
 //! splits the dirty set into its connected sharing components, solves
 //! the components concurrently on [`partition::map_ordered`] — a
 //! deterministic, scoped, clock-free worker pool — and merges the
-//! results in ascending flow-id order. Because disjoint components
-//! share no resource, per-component arithmetic is identical to the
-//! joint solve, so the result is **bit-for-bit independent of the
-//! worker count** ([`FlowSimulator::set_workers`]);
+//! results in ascending flow-id order. Each component is solved over
+//! path slices borrowed from the simulator; nothing is copied per
+//! solve. Because disjoint components share no resource,
+//! per-component arithmetic is identical to the joint solve, so the
+//! result is **bit-for-bit independent of the worker count**
+//! ([`FlowSimulator::set_workers`], 1 by default — the serial path);
 //! `tests/flowsim_equiv.rs` pins this against the serial oracle at
 //! worker counts 1, 2 and 8. Cross-partition flows collapse their
 //! regions into a single shared-spine solve, which runs exactly like
@@ -62,7 +64,7 @@ pub mod estimate;
 pub mod partition;
 
 use crate::flow::{CompletedFlow, Flow, FlowId, FlowSpec};
-use crate::flowsim::partition::{PartitionMap, SolverPool};
+use crate::flowsim::partition::PartitionMap;
 use crate::routing::{Router, RoutingPolicy};
 use crate::topology::{LinkId, Topology};
 use picloud_simcore::telemetry::MetricsRegistry;
@@ -71,7 +73,6 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt;
-use std::sync::Arc;
 
 /// Bits below which a flow is considered finished (guards float error).
 const EPSILON_BITS: f64 = 1e-6;
@@ -199,10 +200,6 @@ pub struct FlowSimulator {
     partitions: PartitionMap,
     /// Worker threads for the partitioned solve (1 = fully serial).
     workers: usize,
-    /// Persistent solver workers (present iff `workers > 1`); shared on
-    /// clone — `run_ordered` calls are independent, so two simulators
-    /// can safely queue onto the same workers.
-    pool: Option<Arc<SolverPool>>,
     /// Min-heaps of predicted completion instants (lazy invalidation),
     /// sharded per partition bucket — local partitions first, the
     /// shared-spine bucket last — so pod-local churn stays pod-local.
@@ -339,45 +336,31 @@ fn for_each_merged_mut(
     }
 }
 
-/// One disjoint dirty region prepared for solving, fully **owned**: its
-/// resources (with capacities and inverted-index counts snapshotted from
-/// the simulator) plus its flow table (ids ascending; weights and
-/// CSR-flattened paths index-aligned). Owning the data lets the job ship
-/// to the persistent [`SolverPool`], whose workers outlive any single
-/// borrow of the simulator; the solve arithmetic below is a line-for-line
-/// transcription of the borrowed original, so results stay bit-for-bit
-/// identical (pinned by `tests/flowsim_equiv.rs`).
-struct SolveJob {
-    /// Global resource count — scratch vectors are dense and
-    /// resource-indexed, exactly like the pre-pool solver.
-    n_res: usize,
+/// One disjoint dirty region prepared for solving: its resources plus
+/// its flow table (ids ascending; weights and path slices borrowed from
+/// the simulator, index-aligned) — the unit of work handed to
+/// [`partition::map_ordered`].
+struct RegionJob<'a> {
     res_list: Vec<usize>,
     bucket: u32,
     flows: Vec<FlowId>,
     weight: Vec<f64>,
-    /// CSR offsets: flow `i`'s path occupies
-    /// `path_res[path_start[i] as usize..path_start[i + 1] as usize]`.
-    path_start: Vec<u32>,
-    path_res: Vec<ResourceId>,
-    /// `resource_capacity[r]` for each `r` in `res_list`, index-aligned.
-    capacity: Vec<f64>,
-    /// `flows_on[r].len()` for each `r` in `res_list` — the equal-share
-    /// denominators.
-    flow_count: Vec<u32>,
+    paths: Vec<&'a [ResourceId]>,
 }
 
-impl SolveJob {
-    /// Flow `i`'s path resources, in traversal order.
-    fn path(&self, i: usize) -> &[ResourceId] {
-        &self.path_res[self.path_start[i] as usize..self.path_start[i + 1] as usize]
-    }
-
-    /// Solves this region under `allocator`, returning rates
-    /// index-aligned with `flows`.
-    fn solve(&self, allocator: RateAllocator) -> Vec<f64> {
+impl RegionJob<'_> {
+    /// Solves this region under `allocator` against the simulator's
+    /// per-resource `capacity` and inverted index `flows_on`, returning
+    /// rates index-aligned with `flows`.
+    fn solve(
+        &self,
+        allocator: RateAllocator,
+        capacity: &[f64],
+        flows_on: &[BTreeSet<FlowId>],
+    ) -> Vec<f64> {
         match allocator {
-            RateAllocator::MaxMin => self.solve_max_min(),
-            RateAllocator::EqualShare => self.solve_equal_share(),
+            RateAllocator::MaxMin => self.solve_max_min(capacity),
+            RateAllocator::EqualShare => self.solve_equal_share(capacity, flows_on),
         }
     }
 
@@ -387,24 +370,24 @@ impl SolveJob {
     /// (ascending flow id) and arithmetic order are identical whether the
     /// region is the whole graph or one closed component, which is what
     /// makes incremental and full recomputes bit-for-bit equivalent.
-    fn solve_max_min(&self) -> Vec<f64> {
-        let n_res = self.n_res;
-        let n_flows = self.flows.len();
+    fn solve_max_min(&self, capacity: &[f64]) -> Vec<f64> {
+        let n_res = capacity.len();
+        let paths = &self.paths;
         let mut cap_left = vec![0.0f64; n_res];
-        for (k, &r) in self.res_list.iter().enumerate() {
-            cap_left[r] = self.capacity[k];
+        for &r in &self.res_list {
+            cap_left[r] = capacity[r];
         }
-        let mut rates = vec![0.0f64; n_flows];
+        let mut rates = vec![0.0f64; paths.len()];
         // A flow with no path (retired, or a degenerate same-host route)
         // crosses no bottleneck; it keeps rate 0.0 without entering the
         // fill at all.
-        let mut frozen: Vec<bool> = (0..n_flows).map(|i| self.path(i).is_empty()).collect();
+        let mut frozen: Vec<bool> = paths.iter().map(|p| p.is_empty()).collect();
         let mut n_unfrozen = frozen.iter().filter(|f| !**f).count();
         // Weighted max-min: each resource tracks the total weight of the
         // unfrozen flows crossing it; the fair share is per unit weight.
         let mut weight_on: Vec<f64> = vec![0.0; n_res];
-        for i in 0..n_flows {
-            for r in self.path(i) {
+        for (i, path) in paths.iter().enumerate() {
+            for r in *path {
                 weight_on[r.0] += self.weight[i];
             }
         }
@@ -412,7 +395,7 @@ impl SolveJob {
         // the same order `flows_on` iterates, without any tree walks or
         // searches in the fill loop below.
         let mut start = vec![0u32; n_res + 1];
-        for r in &self.path_res {
+        for r in paths.iter().flat_map(|p| p.iter()) {
             start[r.0 + 1] += 1;
         }
         for r in 0..n_res {
@@ -420,8 +403,8 @@ impl SolveJob {
         }
         let mut idx_on = vec![0u32; start[n_res] as usize];
         let mut cursor = start.clone();
-        for i in 0..n_flows {
-            for r in self.path(i) {
+        for (i, path) in paths.iter().enumerate() {
+            for r in *path {
                 idx_on[cursor[r.0] as usize] = i as u32;
                 cursor[r.0] += 1;
             }
@@ -460,7 +443,7 @@ impl SolveJob {
                 frozen[i] = true;
                 froze_any = true;
                 n_unfrozen -= 1;
-                for r in self.path(i) {
+                for r in paths[i] {
                     cap_left[r.0] = (cap_left[r.0] - rate).max(0.0);
                     weight_on[r.0] -= w;
                 }
@@ -475,21 +458,20 @@ impl SolveJob {
     }
 
     /// Equal split per resource, minimum along the path, restricted to
-    /// the region (counts were snapshotted from the inverted index).
-    /// Returns rates index-aligned with the region flow table.
-    fn solve_equal_share(&self) -> Vec<f64> {
-        let n_res = self.n_res;
-        let mut shares = vec![f64::INFINITY; n_res];
-        for (k, &r) in self.res_list.iter().enumerate() {
-            let n = self.flow_count[k] as usize;
+    /// the region (counts come from the inverted index). Returns rates
+    /// index-aligned with the region flow table.
+    fn solve_equal_share(&self, capacity: &[f64], flows_on: &[BTreeSet<FlowId>]) -> Vec<f64> {
+        let mut shares = vec![f64::INFINITY; capacity.len()];
+        for &r in &self.res_list {
+            let n = flows_on[r].len();
             if n > 0 {
-                shares[r] = self.capacity[k] / n as f64;
+                shares[r] = capacity[r] / n as f64;
             }
         }
-        (0..self.flows.len())
-            .map(|i| {
-                let rate = self
-                    .path(i)
+        self.paths
+            .iter()
+            .map(|path| {
+                let rate = path
                     .iter()
                     .map(|r| shares[r.0])
                     .fold(f64::INFINITY, f64::min);
@@ -546,7 +528,6 @@ impl FlowSimulator {
             resource_bits: vec![0.0; n_res],
             partitions,
             workers: 1,
-            pool: None,
             completions: vec![BinaryHeap::new(); shards],
             partition_solves: vec![0; shards],
             topo,
@@ -575,19 +556,8 @@ impl FlowSimulator {
     /// identical at every worker count, because disjoint sharing
     /// components solve with unchanged arithmetic and merge in a fixed
     /// order (see the module docs and DESIGN.md §4c).
-    ///
-    /// With more than one worker the simulator owns a persistent
-    /// [`SolverPool`]: the workers are spawned once here and reused by
-    /// every subsequent solve, so repeated recomputes pay no per-call
-    /// thread start-up.
     pub fn set_workers(&mut self, workers: usize) {
-        let workers = workers.max(1);
-        self.workers = workers;
-        self.pool = if workers > 1 {
-            Some(Arc::new(SolverPool::new(workers)))
-        } else {
-            None
-        };
+        self.workers = workers.max(1);
     }
 
     /// Dirty regions solved per partition bucket since construction —
@@ -735,7 +705,7 @@ impl FlowSimulator {
             };
             self.index_add(id, &resources);
             seeds.extend(resources.iter().copied());
-            let bucket = self.flow_bucket(&resources);
+            let bucket = self.partitions.region_bucket(resources.iter().map(|r| r.0));
             self.active.insert(
                 id,
                 ActiveFlow {
@@ -968,23 +938,6 @@ impl FlowSimulator {
             cur = link.other_end(cur);
         }
         out
-    }
-
-    /// The completion-heap shard for a flow crossing `resources`: its
-    /// partition if every resource agrees, the shared-spine bucket
-    /// otherwise (cross-pod paths, or paths touching a spine link).
-    fn flow_bucket(&self, resources: &[ResourceId]) -> u32 {
-        let shared = self.partitions.shared_id();
-        let mut owner: Option<u32> = None;
-        for r in resources {
-            let b = self.partitions.resource_bucket(r.0);
-            match owner {
-                None => owner = Some(b),
-                Some(o) if o == b => {}
-                Some(_) => return shared,
-            }
-        }
-        owner.unwrap_or(shared)
     }
 
     /// Hooks a flow into the inverted index and the resource-sharing
@@ -1256,72 +1209,44 @@ impl FlowSimulator {
         let regions = self.dirty_regions(seeds);
         let buckets: Vec<u32> = regions
             .iter()
-            .map(|r| self.partitions.region_bucket(r))
+            .map(|r| self.partitions.region_bucket(r.iter().copied()))
             .collect();
         for &bucket in &buckets {
             self.partition_solves[bucket as usize] += 1;
         }
         let (solved_regions, res_union) = {
-            let n_res_total = self.resource_capacity.len();
-            let jobs: Vec<SolveJob> = regions
+            let jobs: Vec<RegionJob<'_>> = regions
                 .into_iter()
                 .zip(&buckets)
                 .map(|(res_list, &bucket)| {
                     let (flows, weight, paths) = self.region_flow_table(&res_list, bucket);
-                    // Flatten the borrowed path slices into CSR form so
-                    // the job owns every byte it needs: the persistent
-                    // pool's workers cannot borrow `self`.
-                    let mut path_start = Vec::with_capacity(flows.len() + 1);
-                    path_start.push(0u32);
-                    let mut path_res: Vec<ResourceId> = Vec::new();
-                    for p in &paths {
-                        path_res.extend_from_slice(p);
-                        path_start.push(path_res.len() as u32);
-                    }
-                    let capacity = res_list
-                        .iter()
-                        .map(|&r| self.resource_capacity[r])
-                        .collect();
-                    let flow_count = res_list
-                        .iter()
-                        .map(|&r| self.flows_on[r].len() as u32)
-                        .collect();
-                    SolveJob {
-                        n_res: n_res_total,
+                    RegionJob {
                         res_list,
                         bucket,
                         flows,
                         weight,
-                        path_start,
-                        path_res,
-                        capacity,
-                        flow_count,
+                        paths,
                     }
                 })
                 .collect();
             let total_flows: usize = jobs.iter().map(|j| j.flows.len()).sum();
-            let parallel = jobs.len() > 1 && total_flows >= PARALLEL_FLOWS_MIN;
-            let allocator = self.allocator;
-            let solved: Vec<(SolveJob, Vec<f64>)> = match &self.pool {
-                Some(pool) if parallel => pool.run_ordered(jobs, move |_, job: SolveJob| {
-                    let rates = job.solve(allocator);
-                    (job, rates)
-                }),
-                _ => jobs
-                    .into_iter()
-                    .map(|job| {
-                        let rates = job.solve(allocator);
-                        (job, rates)
-                    })
-                    .collect(),
+            let workers = if jobs.len() > 1 && total_flows >= PARALLEL_FLOWS_MIN {
+                self.workers
+            } else {
+                1
             };
+            let (allocator, capacity, flows_on) =
+                (self.allocator, &self.resource_capacity, &self.flows_on);
+            let solved = partition::map_ordered(workers, &jobs, |_, job| {
+                job.solve(allocator, capacity, flows_on)
+            });
             // Fixed-order merge: regions stay in dirty-region order
             // (first-seed order), flows ascending by id within each —
             // independent of which worker solved what.
             let mut solved_regions: Vec<(u32, Vec<FlowId>, Vec<f64>)> =
-                Vec::with_capacity(solved.len());
+                Vec::with_capacity(jobs.len());
             let mut res_union: Vec<usize> = Vec::new();
-            for (job, rates) in solved {
+            for (job, rates) in jobs.into_iter().zip(solved) {
                 solved_regions.push((job.bucket, job.flows, rates));
                 res_union.extend(job.res_list);
             }

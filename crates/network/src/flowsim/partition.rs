@@ -30,9 +30,7 @@
 //! worker pool. See DESIGN.md §4c for the bit-for-bit argument.
 
 use crate::topology::{DeviceId, DeviceKind, Topology};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 
 /// Sentinel partition index for the shared spine (core/gateway layer).
 /// Stored as `u32::MAX` internally; exposed through
@@ -170,12 +168,13 @@ impl PartitionMap {
         }
     }
 
-    /// The bucket owning a whole region (a set of resource indices): the
-    /// common local partition if every resource agrees, otherwise the
-    /// shared-spine bucket. An empty region maps to the spine.
-    pub fn region_bucket(&self, res_list: &[usize]) -> u32 {
+    /// The bucket owning a set of resource indices — a dirty region, or
+    /// one flow's path: the common local partition if every resource
+    /// agrees, otherwise the shared-spine bucket (cross-pod paths, or
+    /// anything touching a spine link). An empty set maps to the spine.
+    pub fn region_bucket(&self, resources: impl IntoIterator<Item = usize>) -> u32 {
         let mut owner = None;
-        for &r in res_list {
+        for r in resources {
             let b = self.resource_bucket(r);
             match owner {
                 None => owner = Some(b),
@@ -218,6 +217,10 @@ impl PartitionMap {
 ///
 /// With `workers <= 1` or fewer than two items the pool is bypassed and
 /// `f` runs inline on the caller's thread — the serial reference path.
+///
+/// A panic in `f` reaches the caller once every worker has been joined.
+/// The pool keeps no state between calls, so a panicked call cannot
+/// strand a later one.
 ///
 /// # Example
 ///
@@ -272,206 +275,6 @@ where
             o.expect("worker pool left a slot unfilled")
         })
         .collect()
-}
-
-/// A boxed unit of work shipped to the persistent solver pool.
-type PoolTask = Box<dyn FnOnce() + Send + 'static>;
-
-/// Queue state shared between the pool handle and its worker threads.
-struct PoolState {
-    tasks: VecDeque<PoolTask>,
-    shutdown: bool,
-}
-
-/// The synchronisation core of the pool: one mutex-guarded task queue
-/// and a condvar the workers park on while it is empty.
-struct PoolShared {
-    state: Mutex<PoolState>,
-    ready: Condvar,
-}
-
-/// Locks the pool queue. Tasks run *outside* the lock, so the mutex can
-/// only be poisoned by a panic inside the queue plumbing itself — which
-/// already poisoned the solve.
-fn lock_pool(m: &Mutex<PoolState>) -> MutexGuard<'_, PoolState> {
-    // lint: allow(P1) reason=tasks execute outside the lock; poison implies a panicked solve and propagating is the only sound recovery
-    m.lock().expect("solver pool mutex poisoned")
-}
-
-/// The loop each persistent worker runs: pop a task, execute it with the
-/// queue unlocked, park on the condvar when the queue is empty, exit on
-/// shutdown. Workers carry no RNG and never read the wall clock; all
-/// ordering is restored by the caller (results land in index slots), so
-/// scheduling order cannot leak into simulation bits.
-fn pool_worker(shared: &PoolShared) {
-    loop {
-        let task = {
-            let mut state = lock_pool(&shared.state);
-            loop {
-                if let Some(t) = state.tasks.pop_front() {
-                    break Some(t);
-                }
-                if state.shutdown {
-                    break None;
-                }
-                let waited = shared.ready.wait(state);
-                // lint: allow(P1) reason=same poison argument as lock_pool — a poisoned queue means a solve already panicked
-                state = waited.expect("solver pool mutex poisoned");
-            }
-        };
-        match task {
-            Some(t) => t(),
-            None => break,
-        }
-    }
-}
-
-/// A persistent, quarantined worker pool for repeated ordered solves.
-///
-/// [`map_ordered`] spins up a fresh thread scope on every call, which is
-/// fine for one-shot fan-outs but taxes the flow simulator's hot path:
-/// `recompute_rates` fires on every inject/completion/cancel, and paying
-/// thread start-up each time swamps small regional solves. `SolverPool`
-/// hoists the scope into long-lived workers owned by the simulator:
-/// tasks are queued under a mutex, workers park on a condvar between
-/// solves, and results are returned **in item order** through per-call
-/// channels — the same order-restoring merge contract as
-/// [`map_ordered`], so downstream bits remain independent of scheduling.
-///
-/// The quarantine rules (lint D4) carry over unchanged: workers hold no
-/// RNG, never read the clock, and share no mutable state beyond the task
-/// queue. Dropping the pool shuts the workers down and joins them.
-///
-/// # Example
-///
-/// ```
-/// use picloud_network::flowsim::partition::SolverPool;
-///
-/// let pool = SolverPool::new(4);
-/// let squares = pool.run_ordered(vec![1u64, 2, 3, 4, 5], |_, x| x * x);
-/// assert_eq!(squares, vec![1, 4, 9, 16, 25]);
-/// ```
-pub struct SolverPool {
-    shared: Arc<PoolShared>,
-    // lint: allow(D4) reason=these ARE the quarantined pool workers — persistent equivalent of map_ordered's scope (see SolverPool docs)
-    threads: Vec<std::thread::JoinHandle<()>>,
-    size: usize,
-}
-
-impl std::fmt::Debug for SolverPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SolverPool")
-            .field("size", &self.size)
-            .finish()
-    }
-}
-
-impl SolverPool {
-    /// Builds a pool of `workers` persistent threads (clamped to at
-    /// least 1). A pool of size 1 spawns no threads at all: every
-    /// [`SolverPool::run_ordered`] call runs inline on the caller — the
-    /// serial reference path.
-    pub fn new(workers: usize) -> SolverPool {
-        let size = workers.max(1);
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                tasks: VecDeque::new(),
-                shutdown: false,
-            }),
-            ready: Condvar::new(),
-        });
-        let mut threads = Vec::new();
-        if size > 1 {
-            for _ in 0..size {
-                let shared = Arc::clone(&shared);
-                // lint: allow(D4) reason=persistent worker of the quarantined pool; order restored by index slots in run_ordered
-                threads.push(std::thread::spawn(move || pool_worker(&shared)));
-            }
-        }
-        SolverPool {
-            shared,
-            threads,
-            size,
-        }
-    }
-
-    /// The worker count this pool was built with.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// Applies `f` to every item on the persistent workers and returns
-    /// the outputs **in item order**, exactly like [`map_ordered`] — but
-    /// without paying thread start-up per call. Items are owned
-    /// (`'static`) because the workers outlive any one call; with one
-    /// worker or fewer than two items, `f` runs inline on the caller.
-    pub fn run_ordered<I, O, F>(&self, items: Vec<I>, f: F) -> Vec<O>
-    where
-        I: Send + 'static,
-        O: Send + 'static,
-        F: Fn(usize, I) -> O + Send + Sync + 'static,
-    {
-        let n = items.len();
-        if self.threads.is_empty() || n <= 1 {
-            return items
-                .into_iter()
-                .enumerate()
-                .map(|(i, it)| f(i, it))
-                .collect();
-        }
-        let f = Arc::new(f);
-        let (tx, rx) = mpsc::channel::<(usize, O)>();
-        {
-            let mut state = lock_pool(&self.shared.state);
-            for (i, item) in items.into_iter().enumerate() {
-                let f = Arc::clone(&f);
-                let tx = tx.clone();
-                state.tasks.push_back(Box::new(move || {
-                    let _ = tx.send((i, f(i, item)));
-                }));
-            }
-        }
-        self.shared.ready.notify_all();
-        drop(tx);
-        let mut out: Vec<Option<O>> = Vec::with_capacity(n);
-        out.resize_with(n, || None);
-        for _ in 0..n {
-            // lint: allow(P1) reason=recv fails only when a worker panicked mid-solve; propagating the panic is the only sound recovery
-            let (i, o) = rx.recv().expect("solver pool worker panicked");
-            out[i] = Some(o);
-        }
-        out.into_iter()
-            .map(|o| {
-                // lint: allow(P1) reason=each of the n queued tasks sends exactly one indexed result
-                o.expect("solver pool left a slot unfilled")
-            })
-            .collect()
-    }
-}
-
-impl Drop for SolverPool {
-    fn drop(&mut self) {
-        lock_pool(&self.shared.state).shutdown = true;
-        self.shared.ready.notify_all();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-/// The worker-pool size experiment drivers and benches should use: the
-/// `PICLOUD_FLOW_WORKERS` environment variable when set to a positive
-/// integer, `1` (the serial reference path) otherwise.
-///
-/// Reading the environment does *not* weaken the determinism contract:
-/// worker count never changes results — `tests/flowsim_equiv.rs` pins
-/// bit-for-bit state equality across 1, 2 and 8 workers — so this knob
-/// only moves wall-clock time, never a single simulated bit.
-pub fn default_workers() -> usize {
-    std::env::var("PICLOUD_FLOW_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map_or(1, |n| n.max(1))
 }
 
 #[cfg(test)]
@@ -550,11 +353,11 @@ mod tests {
         let p1: Vec<usize> = (0..topo.links().len() * 2)
             .filter(|&r| map.resource_bucket(r) == 1)
             .collect();
-        assert_eq!(map.region_bucket(&p0), 0);
-        assert_eq!(map.region_bucket(&p1), 1);
-        let mixed: Vec<usize> = p0.iter().chain(p1.iter()).copied().collect();
-        assert_eq!(map.region_bucket(&mixed), map.shared_id());
-        assert_eq!(map.region_bucket(&[]), map.shared_id());
+        assert_eq!(map.region_bucket(p0.iter().copied()), 0);
+        assert_eq!(map.region_bucket(p1.iter().copied()), 1);
+        let mixed = p0.iter().chain(p1.iter()).copied();
+        assert_eq!(map.region_bucket(mixed), map.shared_id());
+        assert_eq!(map.region_bucket(std::iter::empty()), map.shared_id());
         assert_eq!(map.bucket_label(0), "p0");
         assert_eq!(map.bucket_label(map.shared_id()), "shared");
     }
@@ -595,33 +398,21 @@ mod tests {
     }
 
     #[test]
-    fn solver_pool_matches_map_ordered_at_any_size() {
-        let items: Vec<u64> = (0..197).collect();
-        let serial = map_ordered(1, &items, |i, x| x * 3 + i as u64);
-        for workers in [1usize, 2, 8] {
-            let pool = SolverPool::new(workers);
-            let got = pool.run_ordered(items.clone(), |i, x| x * 3 + i as u64);
-            assert_eq!(serial, got, "workers={workers}");
+    fn map_ordered_propagates_a_task_panic_and_stays_usable() {
+        let items: Vec<u64> = (0..64).collect();
+        let want: Vec<u64> = items.iter().map(|x| x * 2).collect();
+        for workers in [2usize, 8] {
+            let caught = std::panic::catch_unwind(|| {
+                map_ordered(workers, &items, |_, &x| {
+                    assert_ne!(x, 17, "injected task panic");
+                    x * 2
+                })
+            });
+            assert!(
+                caught.is_err(),
+                "workers={workers}: panic must reach the caller"
+            );
+            assert_eq!(map_ordered(workers, &items, |_, x| x * 2), want);
         }
-    }
-
-    #[test]
-    fn solver_pool_is_reusable_across_many_solves() {
-        let pool = SolverPool::new(4);
-        assert_eq!(pool.size(), 4);
-        for round in 0..64u64 {
-            let items: Vec<u64> = (0..round + 2).collect();
-            let want: Vec<u64> = items.iter().map(|x| x + round).collect();
-            let got = pool.run_ordered(items, move |_, x| x + round);
-            assert_eq!(got, want, "round={round}");
-        }
-    }
-
-    #[test]
-    fn solver_pool_handles_empty_and_single() {
-        let pool = SolverPool::new(8);
-        let none: Vec<u32> = pool.run_ordered(Vec::<u32>::new(), |_, x| x);
-        assert!(none.is_empty());
-        assert_eq!(pool.run_ordered(vec![7u32], |_, x| x + 1), vec![8]);
     }
 }
