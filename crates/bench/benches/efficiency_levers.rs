@@ -19,7 +19,7 @@ fn bench(c: &mut Criterion) {
         "{}\n{}\n{}",
         OversubscriptionExperiment::paper_scale(),
         DvfsExperiment::paper_scale(),
-        SlaExperiment::paper_scale()
+        SlaExperiment::paper_scale().expect("168 web containers fit at 4x overcommit")
     );
     print_once(
         "E14/E15 — oversubscription & cpufreq governors",

@@ -15,7 +15,7 @@ static BANNER: Once = Once::new();
 fn bench(c: &mut Criterion) {
     print_once(
         "F3 / Fig. 3 — software stack & density",
-        &Fig3::run().to_string(),
+        &Fig3::run().expect("density sweep").to_string(),
         &BANNER,
     );
     c.bench_function("fig3/density_experiment", |b| {

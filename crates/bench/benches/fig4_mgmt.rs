@@ -17,7 +17,7 @@ static BANNER: Once = Once::new();
 fn bench(c: &mut Criterion) {
     print_once(
         "F4 / Fig. 4 — management control panel",
-        &Fig4::run().to_string(),
+        &Fig4::run().expect("panel workflow").to_string(),
         &BANNER,
     );
     c.bench_function("fig4/full_workflow", |b| b.iter(|| black_box(Fig4::run())));

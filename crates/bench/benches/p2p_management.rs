@@ -14,7 +14,9 @@ static BANNER: Once = Once::new();
 fn bench(c: &mut Criterion) {
     print_once(
         "E12 — centralised vs P2P management",
-        &P2pMgmtExperiment::paper_scale().to_string(),
+        &P2pMgmtExperiment::paper_scale()
+            .expect("gossip converges")
+            .to_string(),
         &BANNER,
     );
     let seeds = SeedFactory::new(2013);

@@ -16,7 +16,9 @@ static BANNER: Once = Once::new();
 fn bench(c: &mut Criterion) {
     print_once(
         "E5 — placement policies & consolidation ledger",
-        &PlacementExperiment::paper_scale().to_string(),
+        &PlacementExperiment::paper_scale()
+            .expect("batch fits")
+            .to_string(),
         &BANNER,
     );
     let requests: Vec<PlacementRequest> = (0..150)

@@ -16,7 +16,9 @@ static BANNER: Once = Once::new();
 fn bench(c: &mut Criterion) {
     print_once(
         "E8 — SDN installation disciplines & IP-less routing",
-        &SdnExperiment::paper_scale().to_string(),
+        &SdnExperiment::paper_scale()
+            .expect("label routes")
+            .to_string(),
         &BANNER,
     );
     c.bench_function("sdn/reactive_all_pairs_fanout4", |b| {

@@ -20,7 +20,7 @@ fn bench(c: &mut Criterion) {
     });
     c.bench_function("table1/sweep_sizes", |b| {
         b.iter(|| {
-            for machines in [14u32, 28, 56, 112, 224] {
+            for machines in [14u16, 28, 56, 112, 224] {
                 black_box(Table1::run(machines));
             }
         })

@@ -42,7 +42,12 @@ pub struct Fig3 {
 
 impl Fig3 {
     /// Starts `idle`-sized containers on a fresh `spec` host until refused.
-    pub fn density_sweep(spec: &NodeSpec, idle: Bytes) -> DensityResult {
+    ///
+    /// # Errors
+    ///
+    /// The [`HostError`] of a refusal other than running out of disk (on
+    /// create) or memory (on start).
+    pub fn density_sweep(spec: &NodeSpec, idle: Bytes) -> Result<DensityResult, HostError> {
         let mut host = ContainerHost::new(spec.clone());
         let image = ContainerImage::new("sweep", Bytes::mib(64), idle);
         let mut started = 0u32;
@@ -51,38 +56,42 @@ impl Fig3 {
             let id = match host.create(format!("c{started}"), cfg) {
                 Ok(id) => id,
                 Err(HostError::OutOfDisk(_)) => break,
-                Err(e) => panic!("unexpected create failure: {e}"),
+                Err(e) => return Err(e),
             };
             match host.start(id) {
                 Ok(()) => started += 1,
                 Err(HostError::OutOfMemory { .. }) => break,
-                Err(e) => panic!("unexpected start failure: {e}"),
+                Err(e) => return Err(e),
             }
         }
-        DensityResult {
+        Ok(DensityResult {
             board: spec.model.clone(),
             container_idle: idle,
             containers_started: started,
             headroom: host.memory_free(),
-        }
+        })
     }
 
     /// Runs the full experiment across the Pi generations the paper
     /// discusses (Model B 256 MB and 512 MB) at the paper's 30 MB idle
     /// figure.
-    pub fn run() -> Fig3 {
+    ///
+    /// # Errors
+    ///
+    /// The first [`HostError`] a density sweep hits.
+    pub fn run() -> Result<Fig3, HostError> {
         let boards = [NodeSpec::pi_model_b_rev1(), NodeSpec::pi_model_b_rev2()];
         let idle = Bytes::mib(30);
-        Fig3 {
+        Ok(Fig3 {
             density: boards
                 .iter()
                 .map(|b| Fig3::density_sweep(b, idle))
-                .collect(),
+                .collect::<Result<_, _>>()?,
             virt_ablation: boards
                 .iter()
                 .map(|b| DensityComparison::run(b, idle))
                 .collect(),
-        }
+        })
     }
 }
 
@@ -126,7 +135,7 @@ mod tests {
 
     #[test]
     fn paper_claim_three_comfortable_containers() {
-        let fig = Fig3::run();
+        let fig = Fig3::run().unwrap();
         let rev1 = &fig.density[0];
         assert!(
             rev1.containers_started >= 3,
@@ -140,7 +149,7 @@ mod tests {
 
     #[test]
     fn ram_doubling_doubles_density() {
-        let fig = Fig3::run();
+        let fig = Fig3::run().unwrap();
         let rev1 = fig.density[0].containers_started;
         let rev2 = fig.density[1].containers_started;
         // (512-64)/30 = 14 vs (256-64)/30 = 6.
@@ -149,7 +158,7 @@ mod tests {
 
     #[test]
     fn full_virt_cannot_host_the_paper_stack() {
-        let fig = Fig3::run();
+        let fig = Fig3::run().unwrap();
         let rev1 = &fig.virt_ablation[0];
         assert!(rev1.full_virt_instances < 3);
         assert!(rev1.lxc_instances >= 3);
@@ -157,7 +166,7 @@ mod tests {
 
     #[test]
     fn headroom_is_consistent() {
-        let fig = Fig3::run();
+        let fig = Fig3::run().unwrap();
         for d in &fig.density {
             assert!(d.headroom < d.container_idle, "sweep stopped too early");
         }
@@ -165,7 +174,7 @@ mod tests {
 
     #[test]
     fn display_includes_both_tables() {
-        let s = Fig3::run().to_string();
+        let s = Fig3::run().unwrap().to_string();
         assert!(s.contains("container density"));
         assert!(s.contains("full virt"));
         assert!(s.contains("Raspberry Pi Model B rev2"));

@@ -7,9 +7,10 @@
 //! reporting the panel payload plus the management-plane operation counts.
 
 use crate::cluster::PiCloud;
+use crate::experiments::ExperimentError;
 use picloud_container::container::ContainerId;
 use picloud_hardware::node::NodeId;
-use picloud_mgmt::api::{ApiRequest, ApiResponse};
+use picloud_mgmt::api::{ApiError, ApiRequest, ApiResponse};
 use picloud_mgmt::panel::{ControlPanel, PanelView};
 use picloud_simcore::units::Bytes;
 use picloud_simcore::SimTime;
@@ -32,28 +33,28 @@ impl Fig4 {
     /// Runs the workflow on a fresh default PiCloud: one web container per
     /// node in the first two racks, load on rack 0, soft limits on rack 1.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the default cloud rejects the workflow — that would mean
-    /// the management plane regressed.
-    pub fn run() -> Fig4 {
+    /// [`ExperimentError`] if the default cloud rejects a step of the
+    /// workflow — that would mean the management plane regressed.
+    pub fn run() -> Result<Fig4, ExperimentError> {
         let mut cloud = PiCloud::glasgow();
         let now = SimTime::ZERO;
         let mut spawned_ids: Vec<(NodeId, ContainerId)> = Vec::new();
         // Spawn across racks 0 and 1 (nodes 0..28).
         for node in 0..28u32 {
-            let resp = cloud
-                .api(
-                    ApiRequest::SpawnContainer {
-                        node: NodeId(node),
-                        name: format!("web-{node}"),
-                        image: "lighttpd".to_owned(),
-                    },
-                    now,
-                )
-                .expect("default cloud accepts one container per node");
+            let resp = cloud.api(
+                ApiRequest::SpawnContainer {
+                    node: NodeId(node),
+                    name: format!("web-{node}"),
+                    image: "lighttpd".to_owned(),
+                },
+                now,
+            )?;
             let ApiResponse::Spawned { container, .. } = resp else {
-                unreachable!("spawn returns Spawned")
+                return Err(ExperimentError::Workflow(format!(
+                    "spawn on node {node} answered {resp:?}"
+                )));
             };
             spawned_ids.push((NodeId(node), container));
         }
@@ -63,33 +64,31 @@ impl Fig4 {
             cloud
                 .pimaster_mut()
                 .daemon_mut(*node)
-                .expect("node exists")
+                .ok_or_else(|| ApiError::NotFound(node.to_string()))?
                 .set_demand(*ct, demand);
         }
         // Soft limits on rack 1 (§II-C's per-VM utilisation limits).
         let mut limits_set = 0;
         for (node, ct) in spawned_ids.iter().skip(14) {
-            cloud
-                .api(
-                    ApiRequest::SetVmLimits {
-                        node: *node,
-                        container: *ct,
-                        cpu_shares: Some(512),
-                        memory_limit: Some(Bytes::mib(48)),
-                    },
-                    now,
-                )
-                .expect("limits apply");
+            cloud.api(
+                ApiRequest::SetVmLimits {
+                    node: *node,
+                    container: *ct,
+                    cpu_shares: Some(512),
+                    memory_limit: Some(Bytes::mib(48)),
+                },
+                now,
+            )?;
             limits_set += 1;
         }
         let panel = ControlPanel::new().refresh(cloud.pimaster_mut(), SimTime::from_secs(1));
         let panel_json = panel.to_json();
-        Fig4 {
+        Ok(Fig4 {
             spawned: spawned_ids.len(),
             limits_set,
             panel,
             panel_json,
-        }
+        })
     }
 }
 
@@ -110,7 +109,7 @@ mod tests {
 
     #[test]
     fn workflow_completes() {
-        let fig = Fig4::run();
+        let fig = Fig4::run().unwrap();
         assert_eq!(fig.spawned, 28);
         assert_eq!(fig.limits_set, 14);
         assert_eq!(fig.panel.rows.len(), 56);
@@ -119,7 +118,7 @@ mod tests {
 
     #[test]
     fn panel_shows_the_load_gradient() {
-        let fig = Fig4::run();
+        let fig = Fig4::run().unwrap();
         // Node 13 runs at 100%, node 0 at ~7%.
         let cpu0 = fig.panel.rows[0].cpu_percent;
         let cpu13 = fig.panel.rows[13].cpu_percent;
@@ -131,7 +130,7 @@ mod tests {
 
     #[test]
     fn json_payload_is_complete() {
-        let fig = Fig4::run();
+        let fig = Fig4::run().unwrap();
         assert!(fig.panel_json.contains("pi-0-0.picloud"));
         assert!(fig.panel_json.contains("web-0 [running]"));
         let back: PanelView = serde_json::from_str(&fig.panel_json).unwrap();
@@ -140,7 +139,7 @@ mod tests {
 
     #[test]
     fn display_is_the_dashboard() {
-        let s = Fig4::run().to_string();
+        let s = Fig4::run().unwrap().to_string();
         assert!(s.contains("control panel"));
         assert!(s.contains("28 spawns"));
     }

@@ -111,8 +111,15 @@ impl ImageDistributionExperiment {
         let topo = Topology::multi_root_tree(4, 14, 2);
         let by_rack = topo.hosts_by_rack();
         let all_hosts: Vec<DeviceId> = topo.hosts().map(|h| h.id).collect();
-        let pimaster = all_hosts[0];
-        let receivers = all_hosts.len() - 1;
+        let Some((&pimaster, others)) = all_hosts.split_first() else {
+            // A fabric without hosts has nothing to distribute.
+            return ImageDistributionExperiment {
+                image_size,
+                receivers: 0,
+                outcomes: Vec::new(),
+            };
+        };
+        let receivers = others.len();
         let fresh = || {
             FlowSimulator::new(
                 topo.clone(),
@@ -123,7 +130,7 @@ impl ImageDistributionExperiment {
 
         // --- direct unicast -------------------------------------------
         let mut sim = fresh();
-        let unicasts: Vec<FlowSpec> = all_hosts[1..]
+        let unicasts: Vec<FlowSpec> = others
             .iter()
             .map(|&host| FlowSpec::new(pimaster, host, image_size).with_tag("image"))
             .collect();
@@ -154,7 +161,7 @@ impl ImageDistributionExperiment {
         // Phase 1: seed the first host of every *other* rack.
         let seeds: Vec<DeviceId> = by_rack
             .values()
-            .map(|hosts| hosts[0])
+            .filter_map(|hosts| hosts.first().copied())
             .filter(|&d| d != pimaster)
             .collect();
         let seed_specs: Vec<FlowSpec> = seeds
@@ -170,10 +177,13 @@ impl ImageDistributionExperiment {
         let mut holders_by_rack: Vec<Vec<DeviceId>> = Vec::new();
         let mut pending_by_rack: Vec<Vec<DeviceId>> = Vec::new();
         for hosts in by_rack.values() {
+            let Some(&first) = hosts.first() else {
+                continue;
+            };
             let holder = if hosts.contains(&pimaster) {
                 pimaster
             } else {
-                hosts[0]
+                first
             };
             holders_by_rack.push(vec![holder]);
             pending_by_rack.push(hosts.iter().copied().filter(|&d| d != holder).collect());

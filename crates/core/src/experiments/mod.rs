@@ -25,7 +25,9 @@
 //!
 //! Every experiment is deterministic given its seed, returns a typed
 //! result, and `Display`s as an aligned text table so the bench harness
-//! regenerates paper-style output.
+//! regenerates paper-style output. Experiments whose workflow drives a
+//! fallible API (the management plane, the scheduler, gossip, the IP-less
+//! fabric) return `Result<_, ExperimentError>` instead of panicking.
 
 pub mod dvfs_exp;
 pub mod estimate_exp;
@@ -45,3 +47,53 @@ pub mod sdn_exp;
 pub mod sla_exp;
 pub mod table1;
 pub mod traffic_exp;
+
+use picloud_container::host::HostError;
+use picloud_mgmt::api::ApiError;
+use picloud_placement::scheduler::PlacementError;
+use std::fmt;
+
+/// Why an experiment could not finish its workflow.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ExperimentError {
+    /// The management API refused a request.
+    Api(ApiError),
+    /// A container host refused an operation for a reason other than
+    /// running out of room.
+    Host(HostError),
+    /// A placement batch did not fit the cluster.
+    Placement(PlacementError),
+    /// A workflow step did not happen; the message names the step.
+    Workflow(String),
+}
+
+impl fmt::Display for ExperimentError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ExperimentError::Api(e) => write!(f, "management API: {e}"),
+            ExperimentError::Host(e) => write!(f, "container host: {e}"),
+            ExperimentError::Placement(e) => write!(f, "placement: {e}"),
+            ExperimentError::Workflow(step) => f.write_str(step),
+        }
+    }
+}
+
+impl std::error::Error for ExperimentError {}
+
+impl From<ApiError> for ExperimentError {
+    fn from(e: ApiError) -> Self {
+        ExperimentError::Api(e)
+    }
+}
+
+impl From<HostError> for ExperimentError {
+    fn from(e: HostError) -> Self {
+        ExperimentError::Host(e)
+    }
+}
+
+impl From<PlacementError> for ExperimentError {
+    fn from(e: PlacementError) -> Self {
+        ExperimentError::Placement(e)
+    }
+}

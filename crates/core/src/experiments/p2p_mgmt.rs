@@ -8,6 +8,7 @@
 //! node at all. The experiment measures both, then kills the head node /
 //! a third of the peers and measures again.
 
+use crate::experiments::ExperimentError;
 use crate::report::TextTable;
 use picloud_hardware::node::NodeId;
 use picloud_mgmt::gossip::GossipNetwork;
@@ -42,10 +43,15 @@ pub struct P2pMgmtExperiment {
 impl P2pMgmtExperiment {
     /// Runs the comparison at `nodes` scale.
     ///
+    /// # Errors
+    ///
+    /// [`ExperimentError::Workflow`] if gossip on the healthy cluster does
+    /// not converge within its round budget.
+    ///
     /// # Panics
     ///
     /// Panics if `nodes < 4` (the failure scenario kills a quarter).
-    pub fn run(seed: u64, nodes: usize) -> P2pMgmtExperiment {
+    pub fn run(seed: u64, nodes: usize) -> Result<P2pMgmtExperiment, ExperimentError> {
         assert!(nodes >= 4, "need enough nodes to kill some");
         let seeds = SeedFactory::new(seed);
         let mut outcomes = Vec::new();
@@ -64,9 +70,12 @@ impl P2pMgmtExperiment {
         // quarter of the peers and check the survivors still converge.
         for fanout in [1usize, 2, 4] {
             let mut net = GossipNetwork::new(nodes, fanout, &seeds.child(&format!("f{fanout}")));
-            let stats = net
-                .run_to_convergence(256)
-                .expect("gossip converges on a healthy cluster");
+            let stats = net.run_to_convergence(256).ok_or_else(|| {
+                ExperimentError::Workflow(format!(
+                    "gossip at fanout {fanout} did not converge on a healthy \
+                     {nodes}-node cluster within 256 rounds"
+                ))
+            })?;
             // Failure scenario: a quarter of the nodes die; the survivors
             // keep gossiping fresh heartbeats.
             let mut survivors =
@@ -88,11 +97,15 @@ impl P2pMgmtExperiment {
                 },
             });
         }
-        P2pMgmtExperiment { nodes, outcomes }
+        Ok(P2pMgmtExperiment { nodes, outcomes })
     }
 
     /// The 56-node paper configuration.
-    pub fn paper_scale() -> P2pMgmtExperiment {
+    ///
+    /// # Errors
+    ///
+    /// As [`P2pMgmtExperiment::run`].
+    pub fn paper_scale() -> Result<P2pMgmtExperiment, ExperimentError> {
         P2pMgmtExperiment::run(2013, 56)
     }
 }
@@ -129,7 +142,7 @@ mod tests {
     use super::*;
 
     fn exp() -> P2pMgmtExperiment {
-        P2pMgmtExperiment::paper_scale()
+        P2pMgmtExperiment::paper_scale().unwrap()
     }
 
     #[test]
@@ -163,7 +176,8 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        assert_eq!(P2pMgmtExperiment::run(3, 20), P2pMgmtExperiment::run(3, 20));
+        let run = || P2pMgmtExperiment::run(3, 20).unwrap();
+        assert_eq!(run(), run());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use picloud_network::routing::RoutingPolicy;
 use picloud_network::topology::{DeviceId, DeviceKind, Topology};
 use picloud_placement::cluster::{ClusterView, PlacementRequest};
 use picloud_placement::consolidate::Consolidator;
-use picloud_placement::scheduler::{place_all, PolicyKind};
+use picloud_placement::scheduler::{place_all, PlacementError, PolicyKind};
 use picloud_simcore::units::Bytes;
 use picloud_simcore::SimTime;
 use std::collections::BTreeSet;
@@ -73,11 +73,20 @@ impl PlacementExperiment {
     /// `n_groups` service groups on the paper's 56-node cluster, every
     /// policy, then a default consolidation pass realised on the fabric.
     ///
+    /// # Errors
+    ///
+    /// [`PlacementError`] if the batch exceeds cluster capacity under some
+    /// policy (the sweep is about policy differences, not admission
+    /// control).
+    ///
     /// # Panics
     ///
-    /// Panics if the batch exceeds cluster capacity (the sweep is about
-    /// policy differences, not admission control).
-    pub fn run(seed: u64, n_requests: usize, n_groups: u32) -> PlacementExperiment {
+    /// Panics if `n_groups` is zero.
+    pub fn run(
+        seed: u64,
+        n_requests: usize,
+        n_groups: u32,
+    ) -> Result<PlacementExperiment, PlacementError> {
         assert!(n_groups > 0, "need at least one service group");
         let requests: Vec<PlacementRequest> = (0..n_requests)
             .map(|i| PlacementRequest::new(Bytes::mib(30), 50e6).with_group(i as u32 % n_groups))
@@ -90,7 +99,7 @@ impl PlacementExperiment {
         for kind in PolicyKind::all() {
             let mut view = ClusterView::picloud_default();
             let mut policy = kind.build(seed);
-            place_all(&mut view, &mut *policy, &requests).expect("batch fits the 56-node cluster");
+            place_all(&mut view, &mut *policy, &requests)?;
             placement.push(Self::score_placement(kind, &view, n_groups));
 
             // Consolidate and realise the migrations on the fabric.
@@ -130,10 +139,6 @@ impl PlacementExperiment {
                 })
                 .map(|l| sim.mean_link_utilisation(l.id))
                 .fold(0.0f64, f64::max);
-            let idle = ClusterView::picloud_default()
-                .node(picloud_hardware::node::NodeId(0))
-                .ram_capacity; // placeholder to avoid unused warnings? no-op
-            let _ = idle;
             consolidation.push(ConsolidationOutcome {
                 policy: kind,
                 nodes_freed: plan.nodes_freed.len(),
@@ -147,19 +152,19 @@ impl PlacementExperiment {
                 peak_uplink_utilisation: peak_uplink,
             });
         }
-        PlacementExperiment {
+        Ok(PlacementExperiment {
             requests: n_requests,
             placement,
             consolidation,
-        }
+        })
     }
 
     fn score_placement(kind: PolicyKind, view: &ClusterView, n_groups: u32) -> PolicyOutcome {
         let nodes_used: BTreeSet<_> = view.placements().map(|(_, n, _)| n).collect();
-        let racks_used: BTreeSet<u16> = nodes_used.iter().map(|n| view.node(*n).rack).collect();
+        let racks_used: BTreeSet<u32> = nodes_used.iter().map(|n| view.node(*n).rack).collect();
         let mut spread_sum = 0.0;
         for g in 0..n_groups {
-            let racks: BTreeSet<u16> = view
+            let racks: BTreeSet<u32> = view
                 .nodes_hosting_group(g)
                 .into_iter()
                 .map(|n| view.node(n).rack)
@@ -176,7 +181,11 @@ impl PlacementExperiment {
     }
 
     /// The default configuration used by the bench harness.
-    pub fn paper_scale() -> PlacementExperiment {
+    ///
+    /// # Errors
+    ///
+    /// As [`PlacementExperiment::run`].
+    pub fn paper_scale() -> Result<PlacementExperiment, PlacementError> {
         PlacementExperiment::run(2013, 150, 20)
     }
 
@@ -248,7 +257,7 @@ mod tests {
     use super::*;
 
     fn exp() -> PlacementExperiment {
-        PlacementExperiment::paper_scale()
+        PlacementExperiment::paper_scale().unwrap()
     }
 
     #[test]
@@ -319,8 +328,8 @@ mod tests {
 
     #[test]
     fn determinism_across_runs() {
-        let a = PlacementExperiment::run(7, 100, 10);
-        let b = PlacementExperiment::run(7, 100, 10);
+        let a = PlacementExperiment::run(7, 100, 10).unwrap();
+        let b = PlacementExperiment::run(7, 100, 10).unwrap();
         assert_eq!(a, b);
     }
 

@@ -84,9 +84,9 @@ impl PowerExperiment {
         PowerExperiment::run(&NodeSpec::x86_commodity(), 56)
     }
 
-    /// Peak draw (the 100 % point).
-    pub fn peak(&self) -> Power {
-        self.points.last().expect("sweep is non-empty").draw
+    /// Peak draw (the 100 % point); `None` for an empty sweep.
+    pub fn peak(&self) -> Option<Power> {
+        self.points.last().map(|p| p.draw)
     }
 }
 
@@ -121,14 +121,14 @@ mod tests {
     fn picloud_fits_one_socket_at_every_point() {
         let e = PowerExperiment::paper_picloud();
         assert!(e.points.iter().all(|p| p.single_socket_ok));
-        assert!((e.peak().as_watts() - 196.0).abs() < 1e-9);
+        assert!((e.peak().unwrap().as_watts() - 196.0).abs() < 1e-9);
     }
 
     #[test]
     fn testbed_never_fits_one_socket() {
         let e = PowerExperiment::paper_testbed();
         assert!(e.points.iter().all(|p| !p.single_socket_ok));
-        assert!((e.peak().as_watts() - 10_080.0).abs() < 1e-9);
+        assert!((e.peak().unwrap().as_watts() - 10_080.0).abs() < 1e-9);
     }
 
     #[test]
@@ -143,7 +143,10 @@ mod tests {
     fn daily_energy_is_between_idle_and_peak_days() {
         let e = PowerExperiment::paper_picloud();
         let idle_day = (e.points[0].draw).energy_over(SimDuration::from_secs(24 * 3600));
-        let peak_day = e.peak().energy_over(SimDuration::from_secs(24 * 3600));
+        let peak_day = e
+            .peak()
+            .unwrap()
+            .energy_over(SimDuration::from_secs(24 * 3600));
         assert!(e.daily_energy.as_joules() > idle_day.as_joules());
         assert!(e.daily_energy.as_joules() < peak_day.as_joules());
         // Order of magnitude: a few kWh for 56 Pis.

@@ -10,6 +10,7 @@
 //!    How much control-plane churn and session breakage does one container
 //!    migration cause under IP addressing versus flat labels?
 
+use crate::experiments::ExperimentError;
 use crate::report::TextTable;
 use picloud_network::topology::{DeviceId, Topology};
 use picloud_sdn::controller::{InstallMode, SdnController};
@@ -98,34 +99,52 @@ impl SdnExperiment {
 
     /// Opens `sessions` client sessions to a service container, migrates it
     /// across racks, and reports the churn under one addressing mode.
-    pub fn run_addressing(mode: AddressingMode, sessions: usize) -> AddressingOutcome {
+    ///
+    /// # Errors
+    ///
+    /// [`ExperimentError::Workflow`] if the paper fabric lacks the service
+    /// hosts, or the bound label fails to route or migrate.
+    pub fn run_addressing(
+        mode: AddressingMode,
+        sessions: usize,
+    ) -> Result<AddressingOutcome, ExperimentError> {
         let topo = Topology::multi_root_tree(4, 14, 2);
         let hosts: Vec<DeviceId> = topo.hosts().map(|h| h.id).collect();
+        // The service starts on the last host (rack 3) and moves to the
+        // first host of rack 1; clients sit in racks 0-1.
+        let (Some(&home), Some(&away)) = (hosts.last(), hosts.get(14)) else {
+            return Err(ExperimentError::Workflow(format!(
+                "the paper fabric has {} hosts, fewer than the 15 the migration needs",
+                hosts.len()
+            )));
+        };
         let mut fabric = IplessFabric::new(topo, mode);
         let service = Label(1);
-        fabric.bind(service, hosts[55]); // rack 3
-        for i in 0..sessions {
-            // Clients in racks 0-1; the label is bound above, so a healthy
-            // fabric always routes.
-            fabric
-                .open_session(hosts[i % 28], service)
-                .expect("bound label routes on a healthy fabric");
+        fabric.bind(service, home);
+        for &client in hosts.iter().take(28).cycle().take(sessions) {
+            fabric.open_session(client, service).ok_or_else(|| {
+                ExperimentError::Workflow(format!("bound label does not route from {client}"))
+            })?;
         }
         let impact = fabric
-            .migrate(service, hosts[14], SimTime::from_secs(1)) // to rack 1
-            .expect("bound label migrates");
-        AddressingOutcome {
+            .migrate(service, away, SimTime::from_secs(1))
+            .ok_or_else(|| ExperimentError::Workflow("bound label does not migrate".to_owned()))?;
+        Ok(AddressingOutcome {
             mode,
             sessions,
             impact,
-        }
+        })
     }
 
     /// The full experiment at paper scale: sparse (fanout 1) and dense
     /// (fanout 8) workloads expose the reactive/proactive table-space
     /// crossover.
-    pub fn paper_scale() -> SdnExperiment {
-        SdnExperiment {
+    ///
+    /// # Errors
+    ///
+    /// As [`SdnExperiment::run_addressing`].
+    pub fn paper_scale() -> Result<SdnExperiment, ExperimentError> {
+        Ok(SdnExperiment {
             install_modes: vec![
                 SdnExperiment::run_install_mode(InstallMode::Reactive, 1),
                 SdnExperiment::run_install_mode(InstallMode::Proactive, 1),
@@ -133,10 +152,10 @@ impl SdnExperiment {
                 SdnExperiment::run_install_mode(InstallMode::Proactive, 8),
             ],
             addressing: vec![
-                SdnExperiment::run_addressing(AddressingMode::IpSubnet, 20),
-                SdnExperiment::run_addressing(AddressingMode::FlatLabel, 20),
+                SdnExperiment::run_addressing(AddressingMode::IpSubnet, 20)?,
+                SdnExperiment::run_addressing(AddressingMode::FlatLabel, 20)?,
             ],
-        }
+        })
     }
 }
 
@@ -190,7 +209,7 @@ mod tests {
     use super::*;
 
     fn exp() -> SdnExperiment {
-        SdnExperiment::paper_scale()
+        SdnExperiment::paper_scale().unwrap()
     }
 
     #[test]
@@ -245,7 +264,7 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        assert_eq!(SdnExperiment::paper_scale(), SdnExperiment::paper_scale());
+        assert_eq!(exp(), exp());
     }
 
     #[test]

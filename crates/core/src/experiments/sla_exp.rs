@@ -12,7 +12,7 @@
 use crate::report::TextTable;
 use picloud_hardware::cpu::{share_capacity, CpuClaim};
 use picloud_placement::cluster::{ClusterView, PlacementRequest};
-use picloud_placement::scheduler::{place_all, PolicyKind};
+use picloud_placement::scheduler::{place_all, PlacementError, PolicyKind};
 use picloud_simcore::units::Bytes;
 use picloud_simcore::SeedFactory;
 use picloud_workloads::httpd::{HttpRequest, HttpServerSpec};
@@ -50,10 +50,11 @@ impl SlaExperiment {
     /// Places `n` web containers with seeded offered loads under every
     /// policy and scores latency against `sla_secs`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the batch exceeds cluster capacity.
-    pub fn run(seed: u64, n: usize, sla_secs: f64) -> SlaExperiment {
+    /// [`PlacementError`] if the batch exceeds cluster capacity under some
+    /// policy.
+    pub fn run(seed: u64, n: usize, sla_secs: f64) -> Result<SlaExperiment, PlacementError> {
         let seeds = SeedFactory::new(seed);
         let server = HttpServerSpec::lighttpd();
         let req = HttpRequest::static_page();
@@ -71,14 +72,12 @@ impl SlaExperiment {
             .map(|kind| {
                 let mut view = ClusterView::picloud_default().with_cpu_overcommit(4.0);
                 let mut policy = kind.build(seed);
-                let tickets = place_all(&mut view, &mut *policy, &requests).expect("batch fits");
-                // Group containers by node.
+                place_all(&mut view, &mut *policy, &requests)?;
+                // Group containers by node. `place_all` issues tickets in
+                // request order on a fresh view, so the i-th placement in
+                // ticket order is container i.
                 let mut by_node: BTreeMap<_, Vec<usize>> = BTreeMap::new();
-                for (i, t) in tickets.iter().enumerate() {
-                    let (_, node, _) = view
-                        .placements()
-                        .find(|(tt, _, _)| tt == t)
-                        .expect("ticket exists");
+                for (i, (_, node, _)) in view.placements().enumerate() {
                     by_node.entry(node).or_default().push(i);
                 }
                 // Per node, per container: the *capacity* container i can
@@ -119,24 +118,28 @@ impl SlaExperiment {
                     .get(((latencies.len() as f64 * 0.95).ceil() as usize).saturating_sub(1))
                     .copied()
                     .unwrap_or(f64::INFINITY);
-                SlaOutcome {
+                Ok(SlaOutcome {
                     policy: kind,
                     nodes_used: by_node.len(),
                     meeting_sla: meeting,
                     saturated,
                     p95_latency_secs: p95,
-                }
+                })
             })
-            .collect();
-        SlaExperiment {
+            .collect::<Result<_, PlacementError>>()?;
+        Ok(SlaExperiment {
             containers: n,
             sla_secs,
             outcomes,
-        }
+        })
     }
 
     /// Paper-scale: 168 web containers (3 per board if spread), 50 ms SLA.
-    pub fn paper_scale() -> SlaExperiment {
+    ///
+    /// # Errors
+    ///
+    /// As [`SlaExperiment::run`].
+    pub fn paper_scale() -> Result<SlaExperiment, PlacementError> {
         SlaExperiment::run(2013, 168, 0.05)
     }
 
@@ -183,7 +186,7 @@ mod tests {
     use super::*;
 
     fn exp() -> SlaExperiment {
-        SlaExperiment::paper_scale()
+        SlaExperiment::paper_scale().unwrap()
     }
 
     #[test]
@@ -233,10 +236,8 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        assert_eq!(
-            SlaExperiment::run(4, 100, 0.05),
-            SlaExperiment::run(4, 100, 0.05)
-        );
+        let run = || SlaExperiment::run(4, 100, 0.05).unwrap();
+        assert_eq!(run(), run());
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub struct Table1Row {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table1 {
     /// The two rows, Testbed first (as in the paper).
-    pub rows: Vec<Table1Row>,
+    pub rows: [Table1Row; 2],
     /// How many times cheaper the PiCloud is.
     pub cost_factor: f64,
     /// How many times less power the PiCloud draws (nameplate).
@@ -59,7 +59,7 @@ impl Table1 {
     /// # Panics
     ///
     /// Panics if `machines` is zero.
-    pub fn run(machines: u32) -> Table1 {
+    pub fn run(machines: u16) -> Table1 {
         assert!(machines > 0, "a testbed needs machines");
         let row = |label: &str, cloud: &PiCloud| {
             let unit_power = cloud.node_spec().power.nameplate();
@@ -67,7 +67,7 @@ impl Table1 {
             let cooling = cloud.cooling();
             Table1Row {
                 label: label.to_owned(),
-                machines,
+                machines: u32::from(machines),
                 unit_cost: cloud.node_spec().unit_cost,
                 total_cost: cloud.hardware_cost(),
                 unit_power,
@@ -77,23 +77,24 @@ impl Table1 {
             }
         };
         // Build both platforms as actual clouds so the figures come out of
-        // the same inventory code the rest of the emulator uses.
+        // the same inventory code the rest of the emulator uses. In u16,
+        // `per_rack` is at most 16,384 and the rack count at most 4.
         let per_rack = machines.div_ceil(4).max(1);
         let build = |spec: NodeSpec| {
             PiCloud::builder()
-                .racks(u16::try_from(machines.div_ceil(per_rack)).expect("rack count fits"))
-                .pis_per_rack(u16::try_from(per_rack).expect("rack size fits"))
+                .racks(machines.div_ceil(per_rack))
+                .pis_per_rack(per_rack)
                 .node_spec(spec)
                 .build()
         };
-        let testbed = build(NodeSpec::x86_commodity());
-        let picloud = build(NodeSpec::pi_model_b_rev1());
-        let rows = vec![row("Testbed", &testbed), row("PiCloud", &picloud)];
-        let cost_factor = TestbedCost::new(machines, rows[1].unit_cost)
-            .cheaper_factor_vs(&TestbedCost::new(machines, rows[0].unit_cost));
-        let power_factor = rows[0].total_power.as_watts() / rows[1].total_power.as_watts();
+        let testbed = row("Testbed", &build(NodeSpec::x86_commodity()));
+        let picloud = row("PiCloud", &build(NodeSpec::pi_model_b_rev1()));
+        let machines = u32::from(machines);
+        let cost_factor = TestbedCost::new(machines, picloud.unit_cost)
+            .cheaper_factor_vs(&TestbedCost::new(machines, testbed.unit_cost));
+        let power_factor = testbed.total_power.as_watts() / picloud.total_power.as_watts();
         Table1 {
-            rows,
+            rows: [testbed, picloud],
             cost_factor,
             power_factor,
             pi_bom: BillOfMaterials::raspberry_pi_estimate(),
@@ -130,10 +131,11 @@ impl fmt::Display for Table1 {
                 if r.needs_cooling { "Yes" } else { "No" }.into(),
             ]);
         }
+        let [testbed, _] = &self.rows;
         writeln!(
             f,
             "TABLE I: Cost breakdown of a testbed consisting {} servers",
-            self.rows[0].machines
+            testbed.machines
         )?;
         write!(f, "{t}")?;
         writeln!(
@@ -144,7 +146,7 @@ impl fmt::Display for Table1 {
         writeln!(
             f,
             "With cooling at 33% of total power, the x86 facility draws {:.0} W.",
-            self.rows[0].total_power_with_cooling.as_watts()
+            testbed.total_power_with_cooling.as_watts()
         )
     }
 }

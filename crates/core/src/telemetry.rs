@@ -29,6 +29,7 @@ use crate::experiments::{
     oversub_exp::OversubscriptionExperiment, p2p_mgmt::P2pMgmtExperiment,
     placement_exp::PlacementExperiment, power::PowerExperiment, recovery_exp::RecoveryExperiment,
     sdn_exp::SdnExperiment, sla_exp::SlaExperiment, table1::Table1, traffic_exp::TrafficExperiment,
+    ExperimentError,
 };
 use crate::PiCloud;
 use picloud_mgmt::panel::ControlPanel;
@@ -43,39 +44,63 @@ use picloud_workloads::mapreduce::MapReduceJob;
 use picloud_workloads::traffic::TrafficPattern;
 use picloud_workloads::websim::{self, WebSimConfig};
 
-/// Canonical experiment ids with their paper-style `eN` aliases, in the
-/// order the CLI lists them. `fig1` is a render-only artifact and has no
-/// `eN` alias.
-pub const EXPERIMENT_IDS: &[(&str, &str)] = &[
-    ("table1", "e1"),
-    ("fig1", ""),
-    ("fig2", "e2"),
-    ("fig3", "e3"),
-    ("fig4", "e4"),
-    ("placement", "e5"),
-    ("migration", "e6"),
-    ("traffic", "e7"),
-    ("sdn", "e8"),
-    ("power", "e9"),
-    ("fidelity", "e10"),
-    ("failures", "e11"),
-    ("p2p", "e12"),
-    ("imagedist", "e13"),
-    ("oversub", "e14"),
-    ("dvfs", "e15"),
-    ("sla", "e16"),
-    ("recovery", "e17"),
-    ("estimate", "s2"),
+/// Every experiment the suite runs: canonical id, paper-style `eN`
+/// alias and title, in the order the CLI lists and runs them. `fig1` is
+/// a render-only artifact and has no `eN` alias.
+pub const EXPERIMENTS: &[(&str, &str, &str)] = &[
+    (
+        "table1",
+        "e1",
+        "Table I: cost breakdown of a 56-server testbed",
+    ),
+    ("fig1", "", "Fig. 1: the four Lego racks"),
+    (
+        "fig2",
+        "e2",
+        "Fig. 2: fabric comparison (tree / fat-tree / Clos)",
+    ),
+    ("fig3", "e3", "Fig. 3: software stack & container density"),
+    ("fig4", "e4", "Fig. 4: management control panel workflow"),
+    (
+        "power",
+        "e9",
+        "C2/E9: whole-cloud power & the single-socket claim",
+    ),
+    (
+        "placement",
+        "e5",
+        "E5: placement policies & consolidation ledger",
+    ),
+    ("migration", "e6", "E6: cold vs pre-copy migration sweep"),
+    ("traffic", "e7", "E7: DC traffic locality/congestion sweep"),
+    ("sdn", "e8", "E8: SDN disciplines & IP-less routing"),
+    ("fidelity", "e10", "E10: scale-model fidelity (Pi vs x86)"),
+    ("failures", "e11", "E11: failure injection"),
+    ("p2p", "e12", "E12: centralised vs gossip management"),
+    ("imagedist", "e13", "E13: image distribution strategies"),
+    ("oversub", "e14", "E14: CPU oversubscription"),
+    ("sla", "e16", "E16: placement density vs web latency (SLA)"),
+    ("dvfs", "e15", "E15: cpufreq governors"),
+    (
+        "recovery",
+        "e17",
+        "E17: failure recovery / self-healing under churn",
+    ),
+    (
+        "estimate",
+        "s2",
+        "S2: estimation mode (link clustering) vs the exact oracle",
+    ),
 ];
 
 /// Resolves a user-facing experiment name (canonical id or `eN` alias,
 /// case-insensitive) to its canonical id.
 pub fn canonical_id(name: &str) -> Option<&'static str> {
     let lower = name.to_ascii_lowercase();
-    EXPERIMENT_IDS
+    EXPERIMENTS
         .iter()
-        .find(|(id, alias)| *id == lower || (!alias.is_empty() && *alias == lower))
-        .map(|(id, _)| *id)
+        .find(|(id, alias, _)| *id == lower || (!alias.is_empty() && *alias == lower))
+        .map(|(id, _, _)| *id)
 }
 
 /// The telemetry one experiment run produced: a labeled metrics registry
@@ -118,10 +143,16 @@ impl ExperimentTelemetry {
             sink.tracer.emit(SimTime::ZERO, "experiment_start", |e| {
                 e.str("experiment", id).u64("seed", seed);
             });
-            let end = collect_summary(id, seed, &mut sink.registry);
+            // An experiment whose workflow fails contributes no summary
+            // series; the trace records why.
+            if let Err(err) = collect_summary(id, seed, &mut sink.registry) {
+                sink.tracer.emit(SimTime::ZERO, "experiment_error", |e| {
+                    e.str("experiment", id).str("error", &err.to_string());
+                });
+            }
             let span_end = collect_spans(id, seed, &mut sink);
             let live_end = collect_live(id, seed, &mut sink);
-            let end = end.max(span_end).max(live_end);
+            let end = span_end.max(live_end);
             sink.tracer.emit(end, "experiment_end", |e| {
                 e.str("experiment", id);
             });
@@ -362,9 +393,9 @@ impl ExperimentTelemetry {
     }
 }
 
-/// Runs a summary-style experiment and folds its report into `reg`.
-/// Returns the sim-time instant the snapshot should carry.
-fn collect_summary(id: &str, seed: u64, reg: &mut MetricsRegistry) -> SimTime {
+/// Runs a summary-style experiment and folds its report into `reg` at
+/// `SimTime::ZERO`.
+fn collect_summary(id: &str, seed: u64, reg: &mut MetricsRegistry) -> Result<(), ExperimentError> {
     let t0 = SimTime::ZERO;
     match id {
         "table1" => {
@@ -410,7 +441,7 @@ fn collect_summary(id: &str, seed: u64, reg: &mut MetricsRegistry) -> SimTime {
             }
         }
         "fig3" => {
-            let f = Fig3::run();
+            let f = Fig3::run()?;
             for d in &f.density {
                 let l = [("board", d.board.as_str())];
                 reg.gauge("container_density", &l)
@@ -427,7 +458,7 @@ fn collect_summary(id: &str, seed: u64, reg: &mut MetricsRegistry) -> SimTime {
             }
         }
         "fig4" => {
-            let f = Fig4::run();
+            let f = Fig4::run()?;
             let c = reg.counter("mgmt_panel_spawns_total", &[]);
             c.add(f.spawned as u64);
             let c = reg.counter("mgmt_panel_limit_updates_total", &[]);
@@ -452,7 +483,7 @@ fn collect_summary(id: &str, seed: u64, reg: &mut MetricsRegistry) -> SimTime {
             }
         }
         "placement" => {
-            let e = PlacementExperiment::run(seed, 150, 20);
+            let e = PlacementExperiment::run(seed, 150, 20)?;
             for p in &e.placement {
                 let pol = p.policy.to_string();
                 let l = [("policy", pol.as_str())];
@@ -523,7 +554,7 @@ fn collect_summary(id: &str, seed: u64, reg: &mut MetricsRegistry) -> SimTime {
                 .set(t0, e.equal_share_mean_fct);
         }
         "sdn" => {
-            let e = SdnExperiment::paper_scale();
+            let e = SdnExperiment::paper_scale()?;
             for m in &e.install_modes {
                 let mode = m.mode.to_string();
                 let l = [("mode", mode.as_str())];
@@ -578,7 +609,7 @@ fn collect_summary(id: &str, seed: u64, reg: &mut MetricsRegistry) -> SimTime {
             }
         }
         "p2p" => {
-            for o in &P2pMgmtExperiment::run(seed, 56).outcomes {
+            for o in &P2pMgmtExperiment::run(seed, 56)?.outcomes {
                 let l = [("scheme", o.name.as_str())];
                 let c = reg.counter("mgmt_messages_total", &l);
                 c.add(o.messages);
@@ -625,7 +656,7 @@ fn collect_summary(id: &str, seed: u64, reg: &mut MetricsRegistry) -> SimTime {
             }
         }
         "sla" => {
-            let e = SlaExperiment::run(seed, 168, 0.05);
+            let e = SlaExperiment::run(seed, 168, 0.05)?;
             for o in &e.outcomes {
                 let pol = o.policy.to_string();
                 let l = [("policy", pol.as_str())];
@@ -669,9 +700,13 @@ fn collect_summary(id: &str, seed: u64, reg: &mut MetricsRegistry) -> SimTime {
             reg.gauge("estimate_mean_compression", &[])
                 .set(t0, e.mean_compression);
         }
-        other => unreachable!("canonical_id admitted unknown experiment {other}"),
+        other => {
+            return Err(ExperimentError::Workflow(format!(
+                "{other} has no summary collector"
+            )))
+        }
     }
-    t0
+    Ok(())
 }
 
 /// Adds the experiment's causal spans to `sink` where the summary run has

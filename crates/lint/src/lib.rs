@@ -27,15 +27,14 @@
 //! reports every public simulation-facing function that transitively
 //! reaches a D1–D4/F1 source, with the shortest witness call path.
 //!
-//! Findings are reported deterministically ([`report`]) and ratcheted
-//! against the committed `lint-baseline.json` ([`baseline`]): new
-//! violations fail, fixed ones auto-shrink the baseline, and the
-//! baseline never grows. See `LINTS.md` at the workspace root for the
+//! Findings are reported deterministically ([`report`]). The gate is
+//! zero findings: any finding fails `picloud-lint`, `picloud lint` and
+//! `tests/lint.rs`, so a violation is either fixed or carries a
+//! justified allow marker. See `LINTS.md` at the workspace root for the
 //! full rule book and marker syntax.
 
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod lexer;
 pub mod parser;
 pub mod report;
@@ -45,9 +44,6 @@ pub mod taint;
 
 use report::Report;
 use std::path::{Path, PathBuf};
-
-/// The committed ratchet file, relative to the workspace root.
-pub const BASELINE_FILE: &str = "lint-baseline.json";
 
 /// A scan rooted at the workspace checkout.
 #[derive(Debug, Clone)]
@@ -80,11 +76,6 @@ impl Workspace {
     /// The workspace root directory.
     pub fn root(&self) -> &Path {
         &self.root
-    }
-
-    /// The default baseline path (`<root>/lint-baseline.json`).
-    pub fn baseline_path(&self) -> PathBuf {
-        self.root.join(BASELINE_FILE)
     }
 
     /// Every `crates/*/src/**/*.rs` file, workspace-relative with forward

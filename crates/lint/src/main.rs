@@ -1,39 +1,33 @@
-//! `picloud-lint` binary — scan, report, ratchet.
+//! `picloud-lint` binary — scan, report, fail on any finding.
 //!
 //! ```sh
-//! cargo run -p picloud-lint                     # full report (text)
+//! cargo run -p picloud-lint                     # full report (text); CI gate
 //! cargo run -p picloud-lint -- --format jsonl   # machine-readable
 //! cargo run -p picloud-lint -- --format github  # PR annotations
-//! cargo run -p picloud-lint -- --check-baseline # CI gate: fail on growth
-//! cargo run -p picloud-lint -- --write-baseline # re-anchor the ratchet
 //! cargo run -p picloud-lint -- --rules          # list the rule book
 //! ```
+//!
+//! Exit codes: 0 when the report is empty, 1 when it holds any finding,
+//! 2 on a usage or I/O error.
 
-use picloud_lint::baseline::{Baseline, Ratchet};
 use picloud_lint::rules::Rule;
 use picloud_lint::Workspace;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Options {
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
     format: String,
     out: Option<PathBuf>,
-    check_baseline: bool,
-    write_baseline: bool,
     list_rules: bool,
 }
 
 fn usage() {
     eprintln!(
         "picloud-lint — determinism & panic-safety static analysis\n\n\
-         usage: picloud-lint [--root DIR] [--baseline FILE] [--format text|jsonl|github]\n\
-                [--out FILE] [--check-baseline | --write-baseline] [--rules]\n\n\
-         --check-baseline  compare against the committed lint-baseline.json:\n\
-                           new violations fail (exit 1), fixed ones shrink the file\n\
-         --write-baseline  re-anchor the baseline to the current tree\n\
-         --rules           print the rule book and exit\n\n\
+         usage: picloud-lint [--root DIR] [--format text|jsonl|github] [--out FILE] [--rules]\n\n\
+         --rules  print the rule book and exit\n\n\
+         Exits 0 when the report is empty, 1 on any finding, 2 on a usage or I/O error.\n\
          See LINTS.md for the rules and the allow-marker syntax."
     );
 }
@@ -41,11 +35,8 @@ fn usage() {
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         root: None,
-        baseline: None,
         format: "text".to_string(),
         out: None,
-        check_baseline: false,
-        write_baseline: false,
         list_rules: false,
     };
     let mut it = args.iter();
@@ -53,11 +44,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         match a.as_str() {
             "--root" => {
                 opts.root = Some(PathBuf::from(it.next().ok_or("--root needs a directory")?))
-            }
-            "--baseline" => {
-                opts.baseline = Some(PathBuf::from(
-                    it.next().ok_or("--baseline needs a file path")?,
-                ))
             }
             "--format" => {
                 let f = it
@@ -69,8 +55,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.format = f.clone();
             }
             "--out" => opts.out = Some(PathBuf::from(it.next().ok_or("--out needs a file path")?)),
-            "--check-baseline" => opts.check_baseline = true,
-            "--write-baseline" => opts.write_baseline = true,
             "--rules" => opts.list_rules = true,
             "-h" | "--help" => return Err(String::new()),
             other => return Err(format!("unknown argument '{other}'")),
@@ -98,13 +82,8 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     match run(&opts) {
-        Ok(clean) => {
-            if clean {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
         Err(msg) => {
             eprintln!("picloud-lint: {msg}");
             ExitCode::from(2)
@@ -112,6 +91,7 @@ fn main() -> ExitCode {
     }
 }
 
+/// Scans, renders and writes the report; `Ok(true)` when it is empty.
 fn run(opts: &Options) -> Result<bool, String> {
     let ws = Workspace::discover(opts.root.as_deref())?;
     let report = ws.scan()?;
@@ -128,59 +108,5 @@ fn run(opts: &Options) -> Result<bool, String> {
             eprintln!("wrote {} bytes to {}", rendered.len(), path.display());
         }
     }
-    let baseline_path = opts.baseline.clone().unwrap_or_else(|| ws.baseline_path());
-    if opts.write_baseline {
-        let b = Baseline::from_report(&report);
-        b.save(&baseline_path)?;
-        eprintln!(
-            "picloud-lint: wrote {} ({} tolerated bucket(s))",
-            baseline_path.display(),
-            b.entries.len()
-        );
-        return Ok(true);
-    }
-    if opts.check_baseline {
-        return check_baseline(&report, &baseline_path);
-    }
-    Ok(true)
-}
-
-fn check_baseline(
-    report: &picloud_lint::report::Report,
-    baseline_path: &Path,
-) -> Result<bool, String> {
-    let committed = Baseline::load(baseline_path)?;
-    match committed.ratchet(report) {
-        Ratchet::Clean => {
-            eprintln!("picloud-lint: baseline clean (no new violations)");
-            Ok(true)
-        }
-        Ratchet::Shrunk(smaller) => {
-            smaller.save(baseline_path)?;
-            eprintln!(
-                "picloud-lint: violations fixed — baseline auto-shrunk to {} bucket(s); \
-                 commit the updated {}",
-                smaller.entries.len(),
-                baseline_path.display()
-            );
-            Ok(true)
-        }
-        Ratchet::Grew(regressions) => {
-            eprintln!(
-                "picloud-lint: {} (rule, file) bucket(s) grew past the baseline:",
-                regressions.len()
-            );
-            for r in &regressions {
-                eprintln!(
-                    "  {} {}: {} finding(s), baseline tolerates {}",
-                    r.rule, r.file, r.current, r.baselined
-                );
-            }
-            eprintln!(
-                "fix the new violation, add a justified `// lint: allow(..) reason=..` \
-                 marker, or (exceptionally) re-anchor with --write-baseline"
-            );
-            Ok(false)
-        }
-    }
+    Ok(report.findings.is_empty())
 }

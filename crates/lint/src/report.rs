@@ -5,8 +5,6 @@
 //! hand — so two runs over the same tree are byte-identical and the file
 //! diffs cleanly in CI artifacts.
 
-use std::collections::BTreeMap;
-
 /// One rule violation at one source line.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Finding {
@@ -42,15 +40,6 @@ impl Report {
     pub fn sort(&mut self) {
         self.findings
             .sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
-    }
-
-    /// Aggregates findings per `(rule, file)` — the ratchet unit.
-    pub fn counts(&self) -> BTreeMap<(String, String), usize> {
-        let mut out = BTreeMap::new();
-        for f in &self.findings {
-            *out.entry((f.rule.clone(), f.file.clone())).or_insert(0) += 1;
-        }
-        out
     }
 
     /// Human-readable report: one `file:line: RULE message` per finding
@@ -170,7 +159,7 @@ mod tests {
     }
 
     #[test]
-    fn sorted_and_counted() {
+    fn sorts_by_file_line_rule() {
         let mut r = Report {
             findings: vec![
                 finding("P1", "b.rs", 9),
@@ -181,11 +170,15 @@ mod tests {
             files_scanned: 2,
         };
         r.sort();
-        assert_eq!(r.findings[0].file, "a.rs");
-        assert_eq!(r.findings[0].rule, "D1");
-        let c = r.counts();
-        assert_eq!(c[&("P1".to_string(), "a.rs".to_string())], 1);
-        assert_eq!(c.len(), 3);
+        let order: Vec<(&str, usize, &str)> = r
+            .findings
+            .iter()
+            .map(|f| (f.file.as_str(), f.line, f.rule.as_str()))
+            .collect();
+        assert_eq!(
+            order,
+            [("a.rs", 3, "D1"), ("a.rs", 3, "P1"), ("b.rs", 9, "P1")]
+        );
     }
 
     #[test]

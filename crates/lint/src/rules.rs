@@ -62,7 +62,7 @@ impl Rule {
         Rule::O1,
     ];
 
-    /// The short name used in reports, markers and the baseline.
+    /// The short name used in reports and markers.
     pub fn name(self) -> &'static str {
         match self {
             Rule::D1 => "D1",

@@ -5,9 +5,9 @@
 //! to exact fixture lines, so edits to the fixtures must append rather
 //! than reorder.
 
-use picloud_lint::baseline::{Baseline, Ratchet};
 use picloud_lint::Workspace;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 fn fixture_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ws")
@@ -211,64 +211,26 @@ fn reports_are_byte_identical_across_runs() {
 }
 
 #[test]
-fn ratchet_clean_grow_shrink() {
-    let report = scan();
-    let anchored = Baseline::from_report(&report);
+fn binary_fails_on_any_finding_and_passes_a_clean_tree() {
+    let bin = env!("CARGO_BIN_EXE_picloud-lint");
+    let fixtures = Command::new(bin)
+        .arg("--root")
+        .arg(fixture_root())
+        .output()
+        .expect("run picloud-lint on the fixtures");
+    let stdout = String::from_utf8_lossy(&fixtures.stdout);
+    assert_eq!(fixtures.status.code(), Some(1), "{stdout}");
+    assert!(
+        stdout.contains("crates/app/src/lib.rs:21: P1 "),
+        "the P1 fixture finding is reported:\n{stdout}"
+    );
 
-    // Same tree, same baseline: clean.
-    assert_eq!(anchored.ratchet(&report), Ratchet::Clean);
-
-    // Tolerating one fewer P1 in app simulates a new violation: grow.
-    let mut tighter = anchored.clone();
-    let p1_app = tighter
-        .entries
-        .iter_mut()
-        .find(|e| e.rule == "P1" && e.file == APP)
-        .expect("P1 bucket for app fixture");
-    p1_app.count -= 1;
-    match tighter.ratchet(&report) {
-        Ratchet::Grew(regs) => {
-            assert_eq!(regs.len(), 1);
-            assert_eq!((regs[0].rule.as_str(), regs[0].file.as_str()), ("P1", APP));
-            assert_eq!(regs[0].current, regs[0].baselined + 1);
-        }
-        other => panic!("expected growth, got {other:?}"),
-    }
-
-    // Tolerating one extra P1 simulates a fixed violation: the ratchet
-    // auto-shrinks back to exactly the current tree.
-    let mut looser = anchored.clone();
-    looser
-        .entries
-        .iter_mut()
-        .find(|e| e.rule == "P1" && e.file == APP)
-        .expect("P1 bucket for app fixture")
-        .count += 1;
-    match looser.ratchet(&report) {
-        Ratchet::Shrunk(smaller) => assert_eq!(smaller, anchored),
-        other => panic!("expected shrink, got {other:?}"),
-    }
-}
-
-#[test]
-fn baseline_save_load_round_trip() {
-    let report = scan();
-    let b = Baseline::from_report(&report);
-    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("lint-fixture-baseline.json");
-    b.save(&path).expect("save");
-    let back = Baseline::load(&path).expect("load");
-    assert_eq!(back, b);
-    // Serialisation itself is deterministic.
-    assert_eq!(b.to_json(), back.to_json());
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn missing_baseline_means_zero_debt() {
-    let report = scan();
-    let empty = Baseline::load(Path::new("/nonexistent/lint-baseline.json")).expect("empty");
-    match empty.ratchet(&report) {
-        Ratchet::Grew(regs) => assert!(!regs.is_empty()),
-        other => panic!("fixture violations must regress an empty baseline, got {other:?}"),
-    }
+    // The real workspace (this crate's default root) owes nothing.
+    let workspace = Command::new(bin).output().expect("run picloud-lint");
+    assert_eq!(
+        workspace.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&workspace.stdout)
+    );
 }

@@ -58,7 +58,7 @@ pub struct NodeState {
     /// The node's identity.
     pub node: NodeId,
     /// The rack it sits in.
-    pub rack: u16,
+    pub rack: u32,
     /// RAM available to guests.
     pub ram_capacity: Bytes,
     /// Total CPU in Hz.
@@ -124,7 +124,7 @@ impl ClusterView {
         let nodes = (0..count)
             .map(|i| NodeState {
                 node: NodeId(i),
-                rack: u16::try_from(i / rack_size).expect("too many racks"),
+                rack: i / rack_size,
                 ram_capacity: spec.guest_ram(),
                 cpu_capacity_hz: spec.total_compute_hz() as f64,
                 ram_used: Bytes::ZERO,
@@ -236,31 +236,26 @@ impl ClusterView {
         ticket
     }
 
-    /// Releases a placement, freeing its resources. Returns where it was.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown ticket.
-    pub fn release(&mut self, ticket: PlacementTicket) -> (NodeId, PlacementRequest) {
-        let (node, req) = self
-            .placements
-            .remove(&ticket)
-            .unwrap_or_else(|| panic!("unknown {ticket}"));
+    /// Releases a placement, freeing its resources. Returns where it was,
+    /// or `None` (and changes nothing) for an unknown ticket.
+    pub fn release(&mut self, ticket: PlacementTicket) -> Option<(NodeId, PlacementRequest)> {
+        let (node, req) = self.placements.remove(&ticket)?;
         let state = &mut self.nodes[node.index()];
         state.ram_used -= req.ram;
         state.cpu_used_hz = (state.cpu_used_hz - req.cpu_hz).max(0.0);
-        (node, req)
+        Some((node, req))
     }
 
     /// Moves a placement to `target` (resources permitting).
     ///
-    /// Returns the source node.
+    /// Returns the source node, or `None` (and changes nothing) for an
+    /// unknown ticket.
     ///
     /// # Panics
     ///
-    /// Panics on an unknown ticket or if `target` cannot fit the placement.
-    pub fn relocate(&mut self, ticket: PlacementTicket, target: NodeId) -> NodeId {
-        let (source, req) = self.release(ticket);
+    /// Panics if `target` cannot fit the placement.
+    pub fn relocate(&mut self, ticket: PlacementTicket, target: NodeId) -> Option<NodeId> {
+        let (source, req) = self.release(ticket)?;
         // Re-commit preserving the ticket id for caller bookkeeping.
         {
             let state = &self.nodes[target.index()];
@@ -273,7 +268,7 @@ impl ClusterView {
         state.ram_used += req.ram;
         state.cpu_used_hz += req.cpu_hz;
         self.placements.insert(ticket, (target, req));
-        source
+        Some(source)
     }
 
     /// Powers a node off.
@@ -350,10 +345,16 @@ mod tests {
         let t = view.commit(NodeId(5), small_req());
         assert_eq!(view.node(NodeId(5)).ram_used, Bytes::mib(30));
         assert_eq!(view.placement_count(), 1);
-        let (node, req) = view.release(t);
+        let (node, req) = view.release(t).unwrap();
         assert_eq!(node, NodeId(5));
         assert_eq!(req.ram, Bytes::mib(30));
         assert_eq!(view.node(NodeId(5)).ram_used, Bytes::ZERO);
+        // A second release and a relocation of the gone ticket report it
+        // unknown and change nothing.
+        assert_eq!(view.release(t), None);
+        assert_eq!(view.relocate(t, NodeId(6)), None);
+        assert_eq!(view.node(NodeId(6)).ram_used, Bytes::ZERO);
+        assert_eq!(view.placement_count(), 0);
     }
 
     #[test]
@@ -368,7 +369,7 @@ mod tests {
         let mut view = ClusterView::picloud_default();
         let t = view.commit(NodeId(0), small_req());
         let source = view.relocate(t, NodeId(20));
-        assert_eq!(source, NodeId(0));
+        assert_eq!(source, Some(NodeId(0)));
         assert_eq!(view.node(NodeId(0)).ram_used, Bytes::ZERO);
         assert_eq!(view.node(NodeId(20)).ram_used, Bytes::mib(30));
         assert_eq!(view.placements_on(NodeId(20)), vec![t]);

@@ -12,7 +12,7 @@
 //! onto the most-loaded receiver that fits (never another donor); if every
 //! placement fits, emit the moves and mark the donor for power-off.
 
-use crate::cluster::{ClusterView, PlacementTicket};
+use crate::cluster::{ClusterView, PlacementRequest, PlacementTicket};
 use picloud_hardware::node::NodeId;
 use picloud_simcore::units::{Bytes, Power};
 use serde::{Deserialize, Serialize};
@@ -147,18 +147,19 @@ impl Consolidator {
             if received.contains(&donor) {
                 continue; // took on load earlier in the pass; now a keeper
             }
-            let tickets = view.placements_on(donor);
+            // Each of the donor's placements, with its request.
+            let tickets: Vec<(PlacementTicket, PlacementRequest)> = view
+                .placements()
+                .filter(|(_, node, _)| *node == donor)
+                .map(|(t, _, r)| (t, *r))
+                .collect();
             // Tentatively re-home every ticket on a scratch copy so a
             // partial failure rolls back cleanly.
-            let mut staged: Vec<(PlacementTicket, NodeId)> = Vec::with_capacity(tickets.len());
+            let mut staged: Vec<(PlacementTicket, PlacementRequest, NodeId)> =
+                Vec::with_capacity(tickets.len());
             let mut scratch = view.clone();
             let mut ok = true;
-            for ticket in &tickets {
-                let req = scratch
-                    .placements()
-                    .find(|(t, _, _)| t == ticket)
-                    .map(|(_, _, r)| *r)
-                    .expect("ticket exists");
+            for &(ticket, req) in &tickets {
                 // Receivers: powered on, not the donor, already non-empty,
                 // fits, and stays under the ceiling. Most-loaded first so
                 // the pack is tight.
@@ -184,11 +185,10 @@ impl Consolidator {
                     after <= self.receiver_ceiling
                 });
                 match target {
-                    Some(t) => {
-                        scratch.relocate(*ticket, t);
-                        staged.push((*ticket, t));
+                    Some(t) if scratch.relocate(ticket, t).is_some() => {
+                        staged.push((ticket, req, t))
                     }
-                    None => {
+                    _ => {
                         ok = false;
                         break;
                     }
@@ -198,21 +198,18 @@ impl Consolidator {
                 continue; // cannot fully drain this donor; leave it alone
             }
             // Commit the staged moves for real.
-            for (ticket, target) in staged {
-                let (_, _, req) = view
-                    .placements()
-                    .find(|(t, _, _)| *t == ticket)
-                    .expect("ticket exists");
-                let ram = req.ram;
+            for (ticket, req, target) in staged {
                 let from_rack = view.node(donor).rack;
                 let to_rack = view.node(target).rack;
-                view.relocate(ticket, target);
+                if view.relocate(ticket, target).is_none() {
+                    continue;
+                }
                 received.insert(target);
                 moves.push(PlannedMove {
                     ticket,
                     from: donor,
                     to: target,
-                    ram,
+                    ram: req.ram,
                     crosses_rack: from_rack != to_rack,
                 });
             }
@@ -229,7 +226,6 @@ impl Consolidator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::PlacementRequest;
     use crate::scheduler::{place_all, WorstFit};
 
     fn spread_cluster(n_placements: usize) -> ClusterView {

@@ -191,7 +191,7 @@ pub struct NetworkAware;
 
 impl PlacementPolicy for NetworkAware {
     fn place(&mut self, view: &ClusterView, req: &PlacementRequest) -> Option<NodeId> {
-        let group_racks: Vec<u16> = view
+        let group_racks: Vec<u32> = view
             .nodes_hosting_group(req.group)
             .into_iter()
             .map(|n| view.node(n).rack)

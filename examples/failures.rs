@@ -44,7 +44,10 @@ fn main() {
     );
 
     // The management plane under failure: pimaster vs gossip.
-    println!("\n{}", P2pMgmtExperiment::paper_scale());
+    println!(
+        "\n{}",
+        P2pMgmtExperiment::paper_scale().expect("gossip converges")
+    );
 
     // Gossip riding out a progressive failure.
     println!("\nGossip under progressive node loss (56 nodes, fanout 2):");

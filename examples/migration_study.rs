@@ -60,5 +60,8 @@ fn main() {
     println!();
 
     // E5: consolidation uses these migrations; show the full ledger.
-    println!("{}", PlacementExperiment::paper_scale());
+    println!(
+        "{}",
+        PlacementExperiment::paper_scale().expect("batch fits")
+    );
 }

@@ -49,7 +49,7 @@ fn main() {
     println!("{}", Table1::paper());
 
     // The §II-B density claims behind Fig. 3.
-    println!("{}", Fig3::run());
+    println!("{}", Fig3::run().expect("density sweep"));
 
     // The single-socket claim.
     println!(

@@ -43,5 +43,8 @@ fn main() {
     println!("\n{}", OversubscriptionExperiment::paper_scale());
 
     // E16: the SLA cost of density, per placement policy.
-    println!("\n{}", SlaExperiment::paper_scale());
+    println!(
+        "\n{}",
+        SlaExperiment::paper_scale().expect("the fleet fits")
+    );
 }

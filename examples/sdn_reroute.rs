@@ -38,7 +38,10 @@ fn main() {
     );
 
     // The full discipline comparison.
-    println!("{}", SdnExperiment::paper_scale());
+    println!(
+        "{}",
+        SdnExperiment::paper_scale().expect("bound labels route")
+    );
 
     // A live walk-through of the IP-less migration story.
     println!("\nWalk-through: migrating a service with 10 clients attached");

@@ -39,9 +39,8 @@
 //!
 //! `lint` is a passthrough to `picloud-lint`: it scans the workspace,
 //! prints the report (text by default, `--format jsonl` for the export
-//! form, `--format github` for PR annotations) and checks the ratchet
-//! against `lint-baseline.json`, failing on any new violation. See
-//! `LINTS.md` for the rule book.
+//! form, `--format github` for PR annotations) and exits 1 when the
+//! report holds any finding. See `LINTS.md` for the rule book.
 //!
 //! `chaos` runs seeded adversarial fault schedules against the recovery
 //! stack with the invariant registry armed; violations are shrunk to
@@ -62,86 +61,70 @@ use picloud::experiments::{
     oversub_exp::OversubscriptionExperiment, p2p_mgmt::P2pMgmtExperiment,
     placement_exp::PlacementExperiment, power::PowerExperiment, recovery_exp::RecoveryExperiment,
     sdn_exp::SdnExperiment, sla_exp::SlaExperiment, table1::Table1, traffic_exp::TrafficExperiment,
+    ExperimentError,
 };
-use picloud::telemetry::ExperimentTelemetry;
+use picloud::telemetry::{ExperimentTelemetry, EXPERIMENTS};
 use picloud::PiCloud;
 use picloud_simcore::telemetry::slo::{AlertSeverity, Verdict};
 use picloud_simcore::telemetry::tsdb::QueryFn;
 use picloud_simcore::SimDuration;
 use std::process::ExitCode;
 
-const EXPERIMENTS: &[(&str, &str)] = &[
-    ("table1", "Table I: cost breakdown of a 56-server testbed"),
-    ("fig1", "Fig. 1: the four Lego racks"),
-    ("fig2", "Fig. 2: fabric comparison (tree / fat-tree / Clos)"),
-    ("fig3", "Fig. 3: software stack & container density"),
-    ("fig4", "Fig. 4: management control panel workflow"),
-    (
-        "power",
-        "C2/E9: whole-cloud power & the single-socket claim",
-    ),
-    ("placement", "E5: placement policies & consolidation ledger"),
-    ("migration", "E6: cold vs pre-copy migration sweep"),
-    ("traffic", "E7: DC traffic locality/congestion sweep"),
-    ("sdn", "E8: SDN disciplines & IP-less routing"),
-    ("fidelity", "E10: scale-model fidelity (Pi vs x86)"),
-    ("failures", "E11: failure injection"),
-    ("p2p", "E12: centralised vs gossip management"),
-    ("imagedist", "E13: image distribution strategies"),
-    ("oversub", "E14: CPU oversubscription"),
-    ("sla", "E16: placement density vs web latency (SLA)"),
-    ("dvfs", "E15: cpufreq governors"),
-    (
-        "recovery",
-        "E17: failure recovery / self-healing under churn",
-    ),
-    (
-        "estimate",
-        "S2: estimation mode (link clustering) vs the exact oracle",
-    ),
-];
-
-fn run_one(name: &str, seed: u64) -> bool {
-    match name {
-        "table1" => println!("{}", Table1::paper()),
+/// Renders one experiment's report, or `Ok(None)` for an unknown name.
+fn render_one(name: &str, seed: u64) -> Result<Option<String>, ExperimentError> {
+    let text = match name {
+        "table1" => Table1::paper().to_string(),
         "fig1" => {
             let cloud = PiCloud::glasgow();
-            println!("{cloud}\n{}", cloud.render_racks());
+            format!("{cloud}\n{}", cloud.render_racks())
         }
-        "fig2" => println!("{}", Fig2::run()),
-        "fig3" => println!("{}", Fig3::run()),
-        "fig4" => println!("{}", Fig4::run()),
-        "power" => println!(
+        "fig2" => Fig2::run().to_string(),
+        "fig3" => Fig3::run()?.to_string(),
+        "fig4" => Fig4::run()?.to_string(),
+        "power" => format!(
             "{}\n{}",
             PowerExperiment::paper_picloud(),
             PowerExperiment::paper_testbed()
         ),
-        "placement" => println!("{}", PlacementExperiment::run(seed, 150, 20)),
-        "migration" => println!(
+        "placement" => PlacementExperiment::run(seed, 150, 20)?.to_string(),
+        "migration" => format!(
             "{}\n{}",
             MigrationExperiment::paper_scale(),
             MigrationExperiment::gigabit_recable()
         ),
-        "traffic" => println!(
-            "{}",
-            TrafficExperiment::run(seed, SimDuration::from_secs(30))
-        ),
-        "sdn" => println!("{}", SdnExperiment::paper_scale()),
-        "fidelity" => println!("{}", FidelityExperiment::run(seed, 56)),
-        "failures" => println!("{}", FailureExperiment::run(seed)),
-        "p2p" => println!("{}", P2pMgmtExperiment::run(seed, 56)),
-        "imagedist" => println!("{}", ImageDistributionExperiment::paper_scale()),
-        "oversub" => println!("{}", OversubscriptionExperiment::paper_scale()),
-        "sla" => println!("{}", SlaExperiment::run(seed, 168, 0.05)),
-        "dvfs" => println!("{}", DvfsExperiment::paper_scale()),
-        "recovery" => println!("{}", RecoveryExperiment::run(seed)),
-        "estimate" => println!(
-            "{}",
-            EstimateExperiment::run(seed, SimDuration::from_secs(10))
-        ),
-        _ => return false,
+        "traffic" => TrafficExperiment::run(seed, SimDuration::from_secs(30)).to_string(),
+        "sdn" => SdnExperiment::paper_scale()?.to_string(),
+        "fidelity" => FidelityExperiment::run(seed, 56).to_string(),
+        "failures" => FailureExperiment::run(seed).to_string(),
+        "p2p" => P2pMgmtExperiment::run(seed, 56)?.to_string(),
+        "imagedist" => ImageDistributionExperiment::paper_scale().to_string(),
+        "oversub" => OversubscriptionExperiment::paper_scale().to_string(),
+        "sla" => SlaExperiment::run(seed, 168, 0.05)?.to_string(),
+        "dvfs" => DvfsExperiment::paper_scale().to_string(),
+        "recovery" => RecoveryExperiment::run(seed).to_string(),
+        "estimate" => EstimateExperiment::run(seed, SimDuration::from_secs(10)).to_string(),
+        _ => return Ok(None),
+    };
+    Ok(Some(text))
+}
+
+/// Prints one experiment's report. Returns false, after saying why on
+/// stderr, if the name is unknown or the experiment fails.
+fn run_one(name: &str, seed: u64) -> bool {
+    match render_one(name, seed) {
+        Ok(Some(text)) => {
+            println!("{text}");
+            true
+        }
+        Ok(None) => {
+            eprintln!("unknown experiment '{name}'; try 'picloud list'");
+            false
+        }
+        Err(e) => {
+            eprintln!("{name}: {e}");
+            false
+        }
     }
-    true
 }
 
 /// Runs the `estimate` target. Without `--fidelity` it prints the S2
@@ -320,19 +303,10 @@ fn export_telemetry(subcommand: &str, opts: &ExportOpts<'_>) -> bool {
 }
 
 /// Runs the `lint` subcommand: scan, render in the requested format
-/// (text by default, like `spans`/`slo`), then ratchet against the
-/// committed baseline. Returns false on new violations so the CLI exit
-/// code matches `picloud-lint --check-baseline`.
+/// (text by default, like `spans`/`slo`). Returns false when the report
+/// holds any finding, matching the `picloud-lint` exit code.
 fn run_lint(format: Option<&str>, out: Option<&str>) -> bool {
-    use picloud_lint::baseline::{Baseline, Ratchet};
-    let ws = match picloud_lint::Workspace::discover(None) {
-        Ok(ws) => ws,
-        Err(e) => {
-            eprintln!("lint: {e}");
-            return false;
-        }
-    };
-    let report = match ws.scan() {
+    let report = match picloud_lint::Workspace::discover(None).and_then(|ws| ws.scan()) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("lint: {e}");
@@ -358,33 +332,7 @@ fn run_lint(format: Option<&str>, out: Option<&str>) -> bool {
             eprintln!("wrote {} bytes to {path}", text.len());
         }
     }
-    let baseline = match Baseline::load(&ws.baseline_path()) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("lint: {e}");
-            return false;
-        }
-    };
-    match baseline.ratchet(&report) {
-        Ratchet::Clean | Ratchet::Shrunk(_) => {
-            eprintln!("lint: baseline clean (no new violations)");
-            true
-        }
-        Ratchet::Grew(regressions) => {
-            eprintln!(
-                "lint: {} bucket(s) grew past the baseline:",
-                regressions.len()
-            );
-            for r in &regressions {
-                eprintln!(
-                    "  {} {}: {} finding(s), baseline tolerates {}",
-                    r.rule, r.file, r.current, r.baselined
-                );
-            }
-            eprintln!("see LINTS.md for the rules and the ratchet workflow");
-            false
-        }
-    }
+    report.findings.is_empty()
 }
 
 /// Runs the `chaos` subcommand: N seeded adversarial schedules against
@@ -624,15 +572,19 @@ fn main() -> ExitCode {
                     "       picloud chaos [--seed N] [--schedules N] \
                      [--profile e17|oversub] [--out DIR]\n"
                 );
-                for (name, desc) in EXPERIMENTS {
-                    println!("  {name:<10} {desc}");
+                for (name, _, title) in EXPERIMENTS {
+                    println!("  {name:<10} {title}");
                 }
             }
             "all" => {
-                for (name, _) in EXPERIMENTS {
+                let mut ok = true;
+                for (name, _, _) in EXPERIMENTS {
                     println!("########## {name} ##########");
-                    run_one(name, seed);
+                    ok &= run_one(name, seed);
                     println!();
+                }
+                if !ok {
+                    return ExitCode::FAILURE;
                 }
             }
             "telemetry" | "trace" | "spans" | "critical-path" | "slo" | "query" | "alerts" => {
@@ -670,11 +622,16 @@ fn main() -> ExitCode {
             "panel" => {
                 // The Fig. 4 §II-C workflow's final dashboard, rendered
                 // for the terminal.
-                print!("{}", Fig4::run().panel.render_ascii());
+                match Fig4::run() {
+                    Ok(fig) => print!("{}", fig.panel.render_ascii()),
+                    Err(e) => {
+                        eprintln!("panel: {e}");
+                        return ExitCode::FAILURE;
+                    }
+                }
             }
             name => {
                 if !run_one(name, seed) {
-                    eprintln!("unknown experiment '{name}'; try 'picloud list'");
                     return ExitCode::FAILURE;
                 }
             }

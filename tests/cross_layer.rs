@@ -18,7 +18,7 @@ use picloud_workloads::mapreduce::MapReduceJob;
 fn consolidation_power_saving_has_a_network_price() {
     // The §IV ripple effect end to end: consolidating a spread placement
     // saves watts AND puts measurable load on the aggregation uplinks.
-    let e = PlacementExperiment::paper_scale();
+    let e = PlacementExperiment::paper_scale().expect("batch fits");
     let wf = e
         .consolidation_for(PolicyKind::WorstFit)
         .expect("worst-fit row");

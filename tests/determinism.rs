@@ -53,10 +53,8 @@ fn different_seeds_differ() {
 
 #[test]
 fn placement_experiment_reproduces() {
-    assert_eq!(
-        PlacementExperiment::run(42, 120, 12),
-        PlacementExperiment::run(42, 120, 12)
-    );
+    let run = || PlacementExperiment::run(42, 120, 12).expect("batch fits");
+    assert_eq!(run(), run());
 }
 
 #[test]
@@ -69,7 +67,8 @@ fn traffic_experiment_reproduces() {
 
 #[test]
 fn sdn_experiment_reproduces() {
-    assert_eq!(SdnExperiment::paper_scale(), SdnExperiment::paper_scale());
+    let run = || SdnExperiment::paper_scale().expect("label routes");
+    assert_eq!(run(), run());
 }
 
 #[test]

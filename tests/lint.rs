@@ -1,50 +1,24 @@
-//! The lint ratchet as a tier-1 test: the working tree must never owe
-//! more determinism/panic-safety debt than the committed
-//! `lint-baseline.json` tolerates.
+//! The lint gate as a tier-1 test: the working tree must have zero
+//! determinism/panic-safety findings.
 //!
-//! `cargo test` therefore fails on any new `HashMap` (aliased or not),
+//! `cargo test` therefore fails on any `HashMap` (aliased or not),
 //! wall-clock read, ambient RNG, rogue thread spawn, non-total float
 //! ordering, unwrap-without-justification, undocumented public contract
-//! item — or any new public function transitively reaching one of those
-//! sources (D5) — the same gate CI runs via
-//! `cargo run -p picloud-lint -- --check-baseline`, minus the
-//! auto-shrink side effect (tests must not rewrite checked-in files).
+//! item — or any public function transitively reaching one of those
+//! sources (D5) — the same gate CI runs via `cargo run -p picloud-lint`.
 
-use picloud_lint::baseline::{Baseline, Ratchet};
 use picloud_lint::Workspace;
 
 #[test]
 fn workspace_owes_no_new_lint_debt() {
     let ws = Workspace::discover(None).expect("workspace root");
     let report = ws.scan().expect("scan succeeds");
-    let committed = Baseline::load(&ws.baseline_path()).expect("baseline parses");
-    match committed.ratchet(&report) {
-        Ratchet::Clean => {}
-        Ratchet::Shrunk(smaller) => {
-            // Debt went down — not a failure, but the baseline should be
-            // re-anchored so the improvement can't silently regress.
-            eprintln!(
-                "note: lint debt shrank to {} bucket(s); run \
-                 `cargo run -p picloud-lint -- --check-baseline` and commit \
-                 the updated lint-baseline.json",
-                smaller.entries.len()
-            );
-        }
-        Ratchet::Grew(regressions) => {
-            let mut msg = String::from("new lint violations past the baseline:\n");
-            for r in &regressions {
-                msg.push_str(&format!(
-                    "  {} {}: {} finding(s), baseline tolerates {}\n",
-                    r.rule, r.file, r.current, r.baselined
-                ));
-            }
-            msg.push_str(
-                "fix them, add a justified `// lint: allow(..) reason=..` marker, \
-                 or see LINTS.md for the ratchet workflow",
-            );
-            panic!("{msg}");
-        }
-    }
+    assert!(
+        report.findings.is_empty(),
+        "fix each finding or add a justified `// lint: allow(..) reason=..` \
+         marker (see LINTS.md):\n{}",
+        report.to_text()
+    );
 }
 
 #[test]

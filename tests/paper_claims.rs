@@ -62,7 +62,7 @@ fn sd_card_is_16gb_sandisk_class() {
 fn three_containers_at_30mb_idle() {
     // §II-B: "we can run three containers on a single Pi, each consuming
     // 30MB RAM when idle."
-    let fig = Fig3::run();
+    let fig = Fig3::run().expect("density sweep");
     assert_eq!(fig.density[0].container_idle, Bytes::mib(30));
     assert!(fig.density[0].containers_started >= 3);
 }
@@ -71,7 +71,7 @@ fn three_containers_at_30mb_idle() {
 fn full_virtualisation_is_too_heavy_for_256mb() {
     // §II-B: "full virtualisation technologies such as Xen are
     // memory-intensive when compared to the 256MB RAM capacity".
-    let fig = Fig3::run();
+    let fig = Fig3::run().expect("density sweep");
     assert!(fig.virt_ablation[0].full_virt_instances < fig.virt_ablation[0].lxc_instances);
 }
 

@@ -7,7 +7,7 @@
 //! formatting drift in the exporters would break these.
 
 use picloud::experiments::recovery_exp::RecoveryExperiment;
-use picloud::telemetry::{canonical_id, ExperimentTelemetry, EXPERIMENT_IDS};
+use picloud::telemetry::{canonical_id, ExperimentTelemetry, EXPERIMENTS};
 use picloud_simcore::telemetry::TelemetrySink;
 use picloud_simcore::{SimDuration, SimTime};
 
@@ -84,7 +84,7 @@ fn plain_run_matches_disabled_telemetry_run() {
 
 #[test]
 fn collector_covers_every_experiment_id() {
-    for (id, alias) in EXPERIMENT_IDS {
+    for (id, alias, _) in EXPERIMENTS {
         assert_eq!(canonical_id(id), Some(*id));
         if !alias.is_empty() {
             assert_eq!(canonical_id(alias), Some(*id), "{alias} → {id}");
