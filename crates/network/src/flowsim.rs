@@ -36,6 +36,17 @@
 //!   scan in [`FlowSimulator::next_completion_time`] — sharded per
 //!   topology partition so each pod's churn only disturbs its own heap.
 //!
+//! A recompute costs what its dirty regions hold, not what the fabric
+//! holds (DESIGN.md §4b, "per-recompute cost model"). Each region is
+//! solved on arrays indexed by the resource's position within the
+//! region. The fabric-sized arrays a recompute needs (the region mark,
+//! the global-to-local resource map and the new rate sums) are scratch
+//! owned by the simulator and reset only where a recompute touched
+//! them. A *flowless* region, the vacated path resource of a finished
+//! or cancelled flow, counts as a solve in
+//! [`FlowSimulator::partition_solves`] but is neither gathered nor
+//! solved; the rate-sum update still zeroes its utilisation.
+//!
 //! # Partitioned parallel solve (DESIGN.md §4c)
 //!
 //! The [`partition`] module derives a [`partition::PartitionMap`] from
@@ -81,6 +92,9 @@ const EPSILON_BITS: f64 = 1e-6;
 /// worth fanning out to the worker pool: below this, thread start-up
 /// dwarfs the solve. Results are bit-identical either way.
 const PARALLEL_FLOWS_MIN: usize = 64;
+
+/// `region_of` entry of a resource outside every dirty region.
+const NO_REGION: u32 = u32::MAX;
 
 /// How link capacity is divided among contending flows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -207,6 +221,18 @@ pub struct FlowSimulator {
     /// Regions solved per partition bucket since construction (the
     /// `network_partition_solves_total` telemetry counter).
     partition_solves: Vec<u64>,
+    /// Per-recompute scratch, one entry per resource, kept in its reset
+    /// state between recomputes so no call allocates or clears
+    /// fabric-sized arrays. `region_of` names the dirty region holding
+    /// each resource (`NO_REGION` outside every region) and is reset at
+    /// exactly the entries a recompute marked; `local_of` is a
+    /// resource's position in its region's ascending resource list,
+    /// written for every region resource before any solve reads it
+    /// and never read elsewhere; `used_new` accumulates the new
+    /// per-resource rate sums and is zeroed as each is committed.
+    region_of: Vec<u32>,
+    local_of: Vec<u32>,
+    used_new: Vec<f64>,
 }
 
 #[derive(Debug, Clone)]
@@ -340,8 +366,14 @@ fn for_each_merged_mut(
 /// its flow table (ids ascending; weights and path slices borrowed from
 /// the simulator, index-aligned) — the unit of work handed to
 /// [`partition::map_ordered`].
+///
+/// The solvers index their per-resource arrays by *region-local*
+/// position (`local_of[r]` is `r`'s index in `res_list`), so a solve
+/// allocates and scans arrays sized to its region, never to the fabric.
+/// Regions are resource-disjoint, so one global-to-local map serves
+/// every region of a recompute, concurrent solves included.
 struct RegionJob<'a> {
-    res_list: Vec<usize>,
+    res_list: &'a [usize],
     bucket: u32,
     flows: Vec<FlowId>,
     weight: Vec<f64>,
@@ -350,17 +382,19 @@ struct RegionJob<'a> {
 
 impl RegionJob<'_> {
     /// Solves this region under `allocator` against the simulator's
-    /// per-resource `capacity` and inverted index `flows_on`, returning
-    /// rates index-aligned with `flows`.
+    /// per-resource `capacity`, inverted index `flows_on` and
+    /// global-to-local resource map `local_of`, returning rates
+    /// index-aligned with `flows`.
     fn solve(
         &self,
         allocator: RateAllocator,
         capacity: &[f64],
         flows_on: &[BTreeSet<FlowId>],
+        local_of: &[u32],
     ) -> Vec<f64> {
         match allocator {
-            RateAllocator::MaxMin => self.solve_max_min(capacity),
-            RateAllocator::EqualShare => self.solve_equal_share(capacity, flows_on),
+            RateAllocator::MaxMin => self.solve_max_min(capacity, local_of),
+            RateAllocator::EqualShare => self.solve_equal_share(capacity, flows_on, local_of),
         }
     }
 
@@ -370,56 +404,63 @@ impl RegionJob<'_> {
     /// (ascending flow id) and arithmetic order are identical whether the
     /// region is the whole graph or one closed component, which is what
     /// makes incremental and full recomputes bit-for-bit equivalent.
-    fn solve_max_min(&self, capacity: &[f64]) -> Vec<f64> {
-        let n_res = capacity.len();
+    /// Local positions follow the ascending `res_list`, so scanning them
+    /// in order is scanning resource ids in order.
+    fn solve_max_min(&self, capacity: &[f64], local_of: &[u32]) -> Vec<f64> {
+        let n = self.res_list.len();
         let paths = &self.paths;
-        let mut cap_left = vec![0.0f64; n_res];
-        for &r in &self.res_list {
-            cap_left[r] = capacity[r];
-        }
+        let mut cap_left: Vec<f64> = self.res_list.iter().map(|&r| capacity[r]).collect();
         let mut rates = vec![0.0f64; paths.len()];
         // A flow with no path (retired, or a degenerate same-host route)
         // crosses no bottleneck; it keeps rate 0.0 without entering the
         // fill at all.
         let mut frozen: Vec<bool> = paths.iter().map(|p| p.is_empty()).collect();
         let mut n_unfrozen = frozen.iter().filter(|f| !**f).count();
-        // Weighted max-min: each resource tracks the total weight of the
-        // unfrozen flows crossing it; the fair share is per unit weight.
-        let mut weight_on: Vec<f64> = vec![0.0; n_res];
+        // One pass over the borrowed paths translates every hop to its
+        // local position (flow `i`'s hops are `hops[hop_at[i]..hop_at[i
+        // + 1]]`), sums each resource's weight — weighted max-min: the
+        // fair share is per unit of unfrozen weight — and counts its
+        // flows. The passes below read the contiguous `hops` instead.
+        let mut hops: Vec<u32> = Vec::with_capacity(paths.iter().map(|p| p.len()).sum());
+        let mut hop_at: Vec<u32> = Vec::with_capacity(paths.len() + 1);
+        hop_at.push(0);
+        let mut weight_on: Vec<f64> = vec![0.0; n];
+        let mut start = vec![0u32; n + 1];
         for (i, path) in paths.iter().enumerate() {
             for r in *path {
-                weight_on[r.0] += self.weight[i];
+                let k = local_of[r.0];
+                hops.push(k);
+                weight_on[k as usize] += self.weight[i];
+                start[k as usize + 1] += 1;
             }
+            hop_at.push(hops.len() as u32);
         }
+        let hops_of = |i: usize| &hops[hop_at[i] as usize..hop_at[i + 1] as usize];
         // CSR of region-flow indices per resource, ascending by flow id —
         // the same order `flows_on` iterates, without any tree walks or
         // searches in the fill loop below.
-        let mut start = vec![0u32; n_res + 1];
-        for r in paths.iter().flat_map(|p| p.iter()) {
-            start[r.0 + 1] += 1;
+        for k in 0..n {
+            start[k + 1] += start[k];
         }
-        for r in 0..n_res {
-            start[r + 1] += start[r];
-        }
-        let mut idx_on = vec![0u32; start[n_res] as usize];
-        let mut cursor = start.clone();
-        for (i, path) in paths.iter().enumerate() {
-            for r in *path {
-                idx_on[cursor[r.0] as usize] = i as u32;
-                cursor[r.0] += 1;
+        let mut idx_on = vec![0u32; start[n] as usize];
+        let mut cursor = start[..n].to_vec();
+        for i in 0..paths.len() {
+            for &k in hops_of(i) {
+                idx_on[cursor[k as usize] as usize] = i as u32;
+                cursor[k as usize] += 1;
             }
         }
         while n_unfrozen > 0 {
             // Find the tightest resource: min cap_left / weight_on.
             let mut bottleneck: Option<(usize, f64)> = None;
-            for &r in &self.res_list {
-                if weight_on[r] <= 0.0 {
+            for k in 0..n {
+                if weight_on[k] <= 0.0 {
                     continue;
                 }
-                let fair = cap_left[r] / weight_on[r];
+                let fair = cap_left[k] / weight_on[k];
                 match bottleneck {
                     Some((_, best)) if best <= fair => {}
-                    _ => bottleneck = Some((r, fair)),
+                    _ => bottleneck = Some((k, fair)),
                 }
             }
             let Some((bott, fair)) = bottleneck else {
@@ -443,9 +484,10 @@ impl RegionJob<'_> {
                 frozen[i] = true;
                 froze_any = true;
                 n_unfrozen -= 1;
-                for r in paths[i] {
-                    cap_left[r.0] = (cap_left[r.0] - rate).max(0.0);
-                    weight_on[r.0] -= w;
+                for &k in hops_of(i) {
+                    let k = k as usize;
+                    cap_left[k] = (cap_left[k] - rate).max(0.0);
+                    weight_on[k] -= w;
                 }
             }
             if !froze_any {
@@ -460,20 +502,26 @@ impl RegionJob<'_> {
     /// Equal split per resource, minimum along the path, restricted to
     /// the region (counts come from the inverted index). Returns rates
     /// index-aligned with the region flow table.
-    fn solve_equal_share(&self, capacity: &[f64], flows_on: &[BTreeSet<FlowId>]) -> Vec<f64> {
-        let mut shares = vec![f64::INFINITY; capacity.len()];
-        for &r in &self.res_list {
-            let n = flows_on[r].len();
-            if n > 0 {
-                shares[r] = capacity[r] / n as f64;
-            }
-        }
+    fn solve_equal_share(
+        &self,
+        capacity: &[f64],
+        flows_on: &[BTreeSet<FlowId>],
+        local_of: &[u32],
+    ) -> Vec<f64> {
+        let shares: Vec<f64> = self
+            .res_list
+            .iter()
+            .map(|&r| match flows_on[r].len() {
+                0 => f64::INFINITY,
+                n => capacity[r] / n as f64,
+            })
+            .collect();
         self.paths
             .iter()
             .map(|path| {
                 let rate = path
                     .iter()
-                    .map(|r| shares[r.0])
+                    .map(|r| shares[local_of[r.0] as usize])
                     .fold(f64::INFINITY, f64::min);
                 if rate.is_finite() {
                     rate
@@ -530,6 +578,9 @@ impl FlowSimulator {
             workers: 1,
             completions: vec![BinaryHeap::new(); shards],
             partition_solves: vec![0; shards],
+            region_of: vec![NO_REGION; n_res],
+            local_of: vec![0; n_res],
+            used_new: vec![0.0; n_res],
             topo,
         }
     }
@@ -1038,32 +1089,37 @@ impl FlowSimulator {
     /// restricted solves bit-identical to the full one *and* safe to run
     /// concurrently. Regions are ordered by first seed, resources
     /// ascending within each.
-    fn dirty_regions(&self, seeds: &[ResourceId]) -> Vec<Vec<usize>> {
-        let n_res = self.resource_capacity.len();
-        match self.mode {
-            RecomputeMode::Full => vec![(0..n_res).collect()],
+    ///
+    /// Marks the scratch maps for every region resource: `region_of`
+    /// (the region's index, which the caller resets once the recompute
+    /// has committed) and `local_of` (its position in the region).
+    fn dirty_regions(&mut self, seeds: &[ResourceId]) -> Vec<Vec<usize>> {
+        let regions: Vec<Vec<usize>> = match self.mode {
+            RecomputeMode::Full => vec![(0..self.resource_capacity.len()).collect()],
             RecomputeMode::Incremental => {
                 // Walk the resource-sharing adjacency — no per-flow set
                 // chasing; a resource joins a region iff some flow
                 // crosses both it and a resource already inside. Seeds
                 // landing in an already-built region are skipped, so a
                 // burst spanning several components yields one region
-                // per component.
-                let mut res_in = vec![false; n_res];
+                // per component. A seed no flow crosses has an empty
+                // adjacency row and forms a one-resource region.
+                let region_of = &mut self.region_of;
                 let mut regions: Vec<Vec<usize>> = Vec::new();
                 let mut frontier: Vec<usize> = Vec::new();
                 for seed in seeds {
-                    if res_in[seed.0] {
+                    if region_of[seed.0] != NO_REGION {
                         continue;
                     }
-                    res_in[seed.0] = true;
+                    let k = regions.len() as u32;
+                    region_of[seed.0] = k;
                     frontier.push(seed.0);
                     let mut res_list: Vec<usize> = Vec::new();
                     while let Some(r) = frontier.pop() {
                         res_list.push(r);
                         for (&r2, &shared) in &self.res_adj[r] {
-                            if shared > 0 && !res_in[r2 as usize] {
-                                res_in[r2 as usize] = true;
+                            if shared > 0 && region_of[r2 as usize] == NO_REGION {
+                                region_of[r2 as usize] = k;
                                 frontier.push(r2 as usize);
                             }
                         }
@@ -1073,7 +1129,14 @@ impl FlowSimulator {
                 }
                 regions
             }
+        };
+        for (k, res_list) in regions.iter().enumerate() {
+            for (i, &r) in res_list.iter().enumerate() {
+                self.region_of[r] = k as u32;
+                self.local_of[r] = i as u32;
+            }
         }
+        regions
     }
 
     /// The region's flow table in one pass: ids (ascending), weights and
@@ -1086,11 +1149,14 @@ impl FlowSimulator {
     /// `bucket` is the region's partition bucket: a local region's flows
     /// all live in that one shard (a flow of any other bucket on a region
     /// resource would have dragged the closure across the spine), so the
-    /// lookups never touch maps owned by other partitions.
+    /// lookups never touch maps owned by other partitions. `region` is
+    /// the region's index, the mark [`FlowSimulator::dirty_regions`] left
+    /// in `region_of` on each of its resources.
     #[allow(clippy::type_complexity)]
     fn region_flow_table(
         &self,
         res_list: &[usize],
+        region: u32,
         bucket: u32,
     ) -> (Vec<FlowId>, Vec<f64>, Vec<&[ResourceId]>) {
         let n_res = self.resource_capacity.len();
@@ -1111,8 +1177,8 @@ impl FlowSimulator {
         // path hop lands in the region. `rows` (the summed index-row
         // lengths, ≈ flows × path length) tells which gather is cheaper
         // before building either: a dense region is read with one
-        // ordered walk of the owning shard(s) filtered by a region
-        // bitmap (no union, no sort — shard order *is* ascending id
+        // ordered walk of the owning shard(s) filtered by the region
+        // mark (no union, no sort — shard order *is* ascending id
         // order), a sparse one unions the rows and probes per id.
         let rows: usize = res_list.iter().map(|&r| self.flows_on[r].len()).sum();
         let local = (bucket as usize) < self.active.shards.len().saturating_sub(1);
@@ -1125,35 +1191,36 @@ impl FlowSimulator {
             rows >= self.active.len()
         };
         if dense {
-            let mut in_region = vec![false; n_res];
-            for &r in res_list {
-                in_region[r] = true;
-            }
+            let in_region = |af: &ActiveFlow| {
+                af.resources
+                    .first()
+                    .is_some_and(|r| self.region_of[r.0] == region)
+            };
             // A plain fn, not a closure: the pushed path slice must
             // carry `self`'s lifetime, which closure inference would
             // shorten.
-            #[allow(clippy::too_many_arguments)]
             fn take<'a>(
                 flows: &mut Vec<FlowId>,
                 weight: &mut Vec<f64>,
                 paths: &mut Vec<&'a [ResourceId]>,
-                in_region: &[bool],
                 id: FlowId,
                 af: &'a ActiveFlow,
             ) {
-                if af.resources.first().is_some_and(|r| in_region[r.0]) {
-                    flows.push(id);
-                    weight.push(af.flow.spec.weight);
-                    paths.push(af.resources.as_slice());
-                }
+                flows.push(id);
+                weight.push(af.flow.spec.weight);
+                paths.push(af.resources.as_slice());
             }
             if local {
                 for (&id, af) in &self.active.shards[bucket as usize] {
-                    take(&mut flows, &mut weight, &mut paths, &in_region, id, af);
+                    if in_region(af) {
+                        take(&mut flows, &mut weight, &mut paths, id, af);
+                    }
                 }
             } else {
                 for (id, af) in self.active.iter_merged() {
-                    take(&mut flows, &mut weight, &mut paths, &in_region, id, af);
+                    if in_region(af) {
+                        take(&mut flows, &mut weight, &mut paths, id, af);
+                    }
                 }
             }
             return (flows, weight, paths);
@@ -1205,6 +1272,13 @@ impl FlowSimulator {
     /// with the others, alone, or on another thread, so the merged
     /// result is bit-for-bit independent of both the region split and
     /// the worker count.
+    ///
+    /// The work is proportional to the dirty regions, not to the
+    /// fabric: the per-resource arrays it needs are simulator-owned
+    /// scratch, reset only where this call touched them. A flowless
+    /// region — a vacated resource of a finished or cancelled flow —
+    /// counts as a solve in its bucket but is neither gathered nor
+    /// solved; the rate-sum update below still zeroes its utilisation.
     fn recompute_rates(&mut self, seeds: &[ResourceId]) {
         let regions = self.dirty_regions(seeds);
         let buckets: Vec<u32> = regions
@@ -1214,12 +1288,17 @@ impl FlowSimulator {
         for &bucket in &buckets {
             self.partition_solves[bucket as usize] += 1;
         }
-        let (solved_regions, res_union) = {
+        let solved_regions = {
             let jobs: Vec<RegionJob<'_>> = regions
-                .into_iter()
+                .iter()
                 .zip(&buckets)
-                .map(|(res_list, &bucket)| {
-                    let (flows, weight, paths) = self.region_flow_table(&res_list, bucket);
+                .enumerate()
+                .filter(|(_, (res_list, _))| match res_list[..] {
+                    [r] => !self.flows_on[r].is_empty(),
+                    _ => true,
+                })
+                .map(|(k, (res_list, &bucket))| {
+                    let (flows, weight, paths) = self.region_flow_table(res_list, k as u32, bucket);
                     RegionJob {
                         res_list,
                         bucket,
@@ -1235,22 +1314,22 @@ impl FlowSimulator {
             } else {
                 1
             };
-            let (allocator, capacity, flows_on) =
-                (self.allocator, &self.resource_capacity, &self.flows_on);
+            let (allocator, capacity, flows_on, local_of) = (
+                self.allocator,
+                &self.resource_capacity,
+                &self.flows_on,
+                &self.local_of,
+            );
             let solved = partition::map_ordered(workers, &jobs, |_, job| {
-                job.solve(allocator, capacity, flows_on)
+                job.solve(allocator, capacity, flows_on, local_of)
             });
             // Fixed-order merge: regions stay in dirty-region order
             // (first-seed order), flows ascending by id within each —
             // independent of which worker solved what.
-            let mut solved_regions: Vec<(u32, Vec<FlowId>, Vec<f64>)> =
-                Vec::with_capacity(jobs.len());
-            let mut res_union: Vec<usize> = Vec::new();
-            for (job, rates) in jobs.into_iter().zip(solved) {
-                solved_regions.push((job.bucket, job.flows, rates));
-                res_union.extend(job.res_list);
-            }
-            (solved_regions, res_union)
+            jobs.into_iter()
+                .zip(solved)
+                .map(|(job, rates)| (job.bucket, job.flows, rates))
+                .collect::<Vec<_>>()
         };
         // Apply the solution region by region, flows ascending within
         // each, accumulating the per-resource rate sums in the same
@@ -1262,11 +1341,10 @@ impl FlowSimulator {
         // their owning shard once instead of descending the tree per
         // flow.
         let now = self.now;
-        let n_res = self.resource_capacity.len();
         let n_local = self.active.shards.len().saturating_sub(1);
-        let mut used_new = vec![0.0f64; n_res];
+        let used_new = &mut self.used_new;
         let completions = &mut self.completions;
-        let mut apply = |af: &mut ActiveFlow, id: FlowId, rate: f64, used_new: &mut [f64]| {
+        let mut apply = |af: &mut ActiveFlow, id: FlowId, rate: f64| {
             if af.flow.rate_bps.to_bits() != rate.to_bits() {
                 af.flow.rate_bps = rate;
                 af.epoch += 1;
@@ -1294,13 +1372,13 @@ impl FlowSimulator {
                             k += 1;
                         }
                         if k < flows.len() && flows[k] == id {
-                            apply(af, id, rates[k], &mut used_new);
+                            apply(af, id, rates[k]);
                         }
                     }
                 } else {
                     for (i, id) in flows.iter().enumerate() {
                         if let Some(af) = shard.get_mut(id) {
-                            apply(af, *id, rates[i], &mut used_new);
+                            apply(af, *id, rates[i]);
                         }
                     }
                 }
@@ -1312,20 +1390,23 @@ impl FlowSimulator {
                         k += 1;
                     }
                     if k < flows.len() && flows[k] == id {
-                        apply(af, id, rates[k], &mut used_new);
+                        apply(af, id, rates[k]);
                     }
                 });
             } else {
                 // Sparse spine-crossing region: probe the shards per id.
                 for (i, id) in flows.iter().enumerate() {
                     if let Some(af) = self.active.get_mut_any(id) {
-                        apply(af, *id, rates[i], &mut used_new);
+                        apply(af, *id, rates[i]);
                     }
                 }
             }
         }
-        for &r in &res_union {
-            let used = used_new[r];
+        // Commit the new sums over every region resource, flowless
+        // regions included, and return the scratch to its reset state.
+        for &r in regions.iter().flatten() {
+            let used = std::mem::take(&mut self.used_new[r]);
+            self.region_of[r] = NO_REGION;
             if used.to_bits() != self.resource_used[r].to_bits() {
                 self.resource_used[r] = used;
                 let cap = self.resource_capacity[r];
@@ -2017,6 +2098,79 @@ mod tests {
         )
         .unwrap();
         assert!(s.partition_solves()[shared] > 0, "spine region solved");
+    }
+
+    #[test]
+    fn vacated_resources_count_as_solves_and_read_idle() {
+        // A completion and a cancel each leave path resources that no
+        // flow crosses any more. Every such flowless region still counts
+        // as one solve in its bucket (the `network_partition_solves_total`
+        // series), and the vacated directions must read idle.
+        let topo = Topology::multi_root_tree(2, 2, 1);
+        let hosts: Vec<DeviceId> = topo.hosts().map(|h| h.id).collect();
+        let mut s = sim(topo);
+        let path_of = |s: &FlowSimulator, id: FlowId| -> Vec<ResourceId> {
+            let af = s.active.shards.iter().find_map(|sh| sh.get(&id));
+            af.expect("flow is active").resources.clone()
+        };
+        let util = |s: &FlowSimulator, r: ResourceId| {
+            s.direction_utilisation(LinkId(r.0 as u32 / 2), r.0.is_multiple_of(2))
+        };
+        // A rack-0 flow, a rack-1 flow, and a cross-rack flow into rack
+        // 1 whose receiving access link a second rack-1 flow shares.
+        let short = s
+            .inject(
+                FlowSpec::new(hosts[0], hosts[1], Bytes::mib(1)),
+                SimTime::ZERO,
+            )
+            .unwrap();
+        s.inject(
+            FlowSpec::new(hosts[2], hosts[3], Bytes::mib(8)),
+            SimTime::ZERO,
+        )
+        .unwrap();
+        let cross = s
+            .inject(
+                FlowSpec::new(hosts[1], hosts[2], Bytes::mib(8)),
+                SimTime::ZERO,
+            )
+            .unwrap();
+        s.inject(
+            FlowSpec::new(hosts[3], hosts[2], Bytes::mib(4)),
+            SimTime::ZERO,
+        )
+        .unwrap();
+        assert_eq!(s.partition_map().shared_id(), 2);
+        assert_eq!(s.partition_solves(), [1, 1, 2]);
+        // The short flow completes alone: both its directions are vacated.
+        let short_path = path_of(&s, short);
+        s.advance_to(secs(0.1));
+        assert_eq!(s.completed().len(), 1);
+        // Two flowless rack-0 regions, one per vacated direction.
+        assert_eq!(s.partition_solves(), [3, 1, 2]);
+        for &r in &short_path {
+            assert_eq!(util(&s, r), 0.0, "completion vacated {r:?}");
+        }
+        // Cancelling the cross-rack flow vacates its uplink and spine
+        // hops; its receiving access link still carries the rack-1 flow.
+        let cross_path = path_of(&s, cross);
+        s.cancel(cross).expect("still active");
+        // Flowless: the rack-0 uplink and two spine hops. The receiving
+        // access link still carries the rack-1 flow, so it forms a
+        // rack-1 region with that flow's uplink.
+        assert_eq!(s.partition_solves(), [4, 2, 4]);
+        let vacated = cross_path.iter().filter(|r| s.flows_on[r.0].is_empty());
+        assert_eq!(vacated.count(), 3);
+        for &r in &cross_path {
+            if s.flows_on[r.0].is_empty() {
+                assert_eq!(util(&s, r), 0.0, "cancel vacated {r:?}");
+            } else {
+                assert!(util(&s, r) > 0.99, "{r:?} still carries a flow");
+            }
+        }
+        s.run_to_completion();
+        assert_eq!(s.partition_solves(), [4, 6, 4]);
+        assert!(s.resource_used.iter().all(|&u| u == 0.0));
     }
 
     fn secs(s: f64) -> SimTime {

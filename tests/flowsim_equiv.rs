@@ -435,3 +435,108 @@ fn incremental_solver_matches_oracle_under_sustained_churn() {
     full.run_to_completion();
     assert_state_equal(&inc, &full, "churn final");
 }
+
+#[test]
+fn mode_flips_and_mid_run_clones_match_full_oracle() {
+    // `set_recompute_mode` may be flipped at any recomputation boundary,
+    // and a clone must carry on exactly like its original. One simulator
+    // flips between the incremental solver and the oracle every `k`
+    // operations; partway through it is cloned, and the clone flips on
+    // the opposite phase. Both must track an all-Full oracle bit for bit
+    // — which also catches per-recompute scratch state leaking from one
+    // recompute (or one mode) into the next.
+    for seed in 0..24u64 {
+        let topo_of = || {
+            if seed.is_multiple_of(2) {
+                Topology::multi_root_tree(3, 4, 2)
+            } else {
+                Topology::fat_tree(4)
+            }
+        };
+        let allocator = if seed % 4 == 3 {
+            RateAllocator::EqualShare
+        } else {
+            RateAllocator::MaxMin
+        };
+        let policy = RoutingPolicy::Ecmp { max_paths: 4 };
+        let mut oracle = FlowSimulator::new(topo_of(), policy, allocator);
+        oracle.set_recompute_mode(RecomputeMode::Full);
+        let mut flipped = FlowSimulator::new(topo_of(), policy, allocator);
+        let mut clone: Option<FlowSimulator> = None;
+        let k = 1 + (seed % 3) as usize;
+        let hosts: Vec<DeviceId> = oracle.topology().hosts().map(|h| h.id).collect();
+        let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0x5eed);
+        let mut live: Vec<FlowId> = Vec::new();
+        for op in 0..48usize {
+            let ctx = format!("flip seed {seed} op {op} k {k}");
+            if op % k == 0 {
+                let (now, other) = if (op / k).is_multiple_of(2) {
+                    (RecomputeMode::Full, RecomputeMode::Incremental)
+                } else {
+                    (RecomputeMode::Incremental, RecomputeMode::Full)
+                };
+                flipped.set_recompute_mode(now);
+                if let Some(c) = clone.as_mut() {
+                    c.set_recompute_mode(other);
+                }
+            }
+            if op == 16 {
+                clone = Some(flipped.clone());
+            }
+            let mut sims: Vec<&mut FlowSimulator> = vec![&mut oracle, &mut flipped];
+            sims.extend(clone.as_mut());
+            match rng.gen_range(0..10u32) {
+                0..=3 => {
+                    let spec = random_spec(&mut rng, &hosts);
+                    let at = sims[0].now();
+                    let ids: Vec<FlowId> = sims
+                        .iter_mut()
+                        .map(|s| s.inject(spec.clone(), at).expect("connected fabric"))
+                        .collect();
+                    assert!(ids.iter().all(|id| *id == ids[0]), "{ctx}: ids");
+                    live.push(ids[0]);
+                }
+                4..=5 => {
+                    let n = rng.gen_range(2..6usize);
+                    let specs: Vec<FlowSpec> =
+                        (0..n).map(|_| random_spec(&mut rng, &hosts)).collect();
+                    let at = sims[0].now();
+                    let ids: Vec<Vec<FlowId>> = sims
+                        .iter_mut()
+                        .map(|s| s.inject_batch(specs.clone(), at).expect("connected"))
+                        .collect();
+                    assert!(ids.iter().all(|b| *b == ids[0]), "{ctx}: batch ids");
+                    live.extend(&ids[0]);
+                }
+                6..=7 => {
+                    if !live.is_empty() {
+                        let id = live.swap_remove(rng.gen_range(0..live.len()));
+                        let gone: Vec<_> = sims.iter_mut().map(|s| s.cancel(id)).collect();
+                        assert!(gone.iter().all(|g| *g == gone[0]), "{ctx}: cancel");
+                    }
+                }
+                _ => {
+                    let dt = SimDuration::from_nanos(rng.gen_range(1_000_000..80_000_000));
+                    let to = sims[0].now() + dt;
+                    for s in sims.iter_mut() {
+                        s.advance_to(to);
+                    }
+                }
+            }
+            assert_state_equal(&flipped, &oracle, &ctx);
+            if let Some(c) = &clone {
+                assert_state_equal(c, &oracle, &format!("{ctx} (clone)"));
+            }
+        }
+        let end = oracle.run_to_completion();
+        assert_eq!(flipped.run_to_completion(), end, "seed {seed}: final clock");
+        assert_state_equal(&flipped, &oracle, &format!("flip seed {seed} final"));
+        let mut c = clone.expect("cloned at op 16");
+        assert_eq!(c.run_to_completion(), end, "seed {seed}: clone clock");
+        assert_state_equal(&c, &oracle, &format!("flip seed {seed} clone final"));
+        assert!(
+            oracle.completed_total() > 0,
+            "seed {seed}: nothing exercised"
+        );
+    }
+}
